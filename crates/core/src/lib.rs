@@ -44,7 +44,7 @@ mod fastpath_tests;
 
 pub use compare::{compare, compare_strategies, ScheduleComparison};
 pub use metrics::{RelativeMetrics, ScheduleMetrics};
-pub use pooled::{pooled_static, PooledSchedule, WarmVm};
+pub use pooled::{pooled_static, pooled_static_with, PooledSchedule, WarmOffers, WarmVm};
 pub use provisioning::ProvisioningPolicy;
 pub use schedule::{Schedule, ScheduleError, TaskPlacement, VmMetrics};
 pub use state::{BatchProbe, KernelTables, ScheduleBuilder, TaskProbe};

@@ -31,7 +31,8 @@ use crate::state::ScheduleBuilder;
 use crate::strategy::StaticAlloc;
 use crate::vm::VmId;
 use cws_dag::{TaskId, Workflow};
-use cws_platform::{InstanceType, Platform, Region};
+use cws_platform::{InstanceType, Platform, Region, BTU_SECONDS};
+use std::fmt;
 
 /// A warm machine offered to the scheduler, described relative to the
 /// arriving workflow's clock.
@@ -62,6 +63,61 @@ impl WarmVm {
             btu_elapsed: 0.0,
         }
     }
+
+    /// The slot a pool machine rented at wall time `rented_at` and free
+    /// from `available_at` offers to a workflow arriving at `now`: its
+    /// wait on the workflow's clock, and its position in the current
+    /// wall-clock BTU at the moment it can be handed over.
+    #[must_use]
+    pub fn handoff(
+        itype: InstanceType,
+        region: Region,
+        rented_at: f64,
+        available_at: f64,
+        now: f64,
+    ) -> Self {
+        let handoff = available_at.max(now);
+        WarmVm {
+            itype,
+            region,
+            available_rel: (available_at - now).max(0.0),
+            btu_elapsed: (handoff - rented_at) % BTU_SECONDS,
+        }
+    }
+}
+
+/// Where the rent-fresh branch finds warm machines to claim. A slot is
+/// an opaque id the source hands out in [`Self::offer`] and resolves in
+/// [`Self::slot`]; [`PooledSchedule::origins`] records it.
+///
+/// The selection rule ([`ScheduleBuilder::best_warm_slot`]) is the same
+/// for every source; the source decides only which machines it visits.
+/// `visit` returns `false` once the machine it was handed starts later
+/// than a fresh rental would. Within one region that outcome is
+/// monotone in the machine's availability, so a source that visits each
+/// region in ascending availability may skip the rest of the region; a
+/// source in any other order must keep visiting.
+pub trait WarmOffers: fmt::Debug + Sync {
+    /// Hand every warm machine of `itype` to `visit` as `(slot, vm)`.
+    fn offer(&self, itype: InstanceType, visit: &mut dyn FnMut(usize, WarmVm) -> bool);
+
+    /// The warm machine behind `slot`, a slot [`Self::offer`] handed out.
+    fn slot(&self, slot: usize) -> WarmVm;
+}
+
+/// A snapshot slice offers every slot in slice order; slot = index.
+impl WarmOffers for &[WarmVm] {
+    fn offer(&self, itype: InstanceType, visit: &mut dyn FnMut(usize, WarmVm) -> bool) {
+        for (i, vm) in self.iter().enumerate() {
+            if vm.itype == itype {
+                visit(i, *vm);
+            }
+        }
+    }
+
+    fn slot(&self, slot: usize) -> WarmVm {
+        self[slot]
+    }
 }
 
 /// A schedule plus the provenance of each of its VMs.
@@ -69,8 +125,9 @@ impl WarmVm {
 pub struct PooledSchedule {
     /// The schedule, on the workflow's own clock.
     pub schedule: Schedule,
-    /// For each VM of `schedule` (same order), the index into the
-    /// offered warm pool it was claimed from; `None` = fresh rental.
+    /// For each VM of `schedule` (same order), the warm slot it was
+    /// claimed from (an index into a `&[WarmVm]` pool, or the id the
+    /// [`WarmOffers`] source handed out); `None` = fresh rental.
     pub origins: Vec<Option<usize>>,
 }
 
@@ -118,6 +175,20 @@ pub fn pooled_static(
     alloc: StaticAlloc,
     itype: InstanceType,
     warm: &[WarmVm],
+) -> PooledSchedule {
+    pooled_static_with(wf, platform, alloc, itype, &warm)
+}
+
+/// [`pooled_static`] drawing from any [`WarmOffers`] source — e.g. a
+/// pool's availability index, which visits only the machines that can
+/// beat a fresh rental instead of a snapshot of the whole pool.
+#[must_use]
+pub fn pooled_static_with(
+    wf: &Workflow,
+    platform: &Platform,
+    alloc: StaticAlloc,
+    itype: InstanceType,
+    warm: &dyn WarmOffers,
 ) -> PooledSchedule {
     let policy = alloc.provisioning();
     let require_fit = policy.is_not_exceed();

@@ -64,7 +64,7 @@
 //! narrower than 1e-9 s are not indexed, which can only change the
 //! placement of tasks shorter than 2e-9 s.
 
-use crate::pooled::WarmVm;
+use crate::pooled::{WarmOffers, WarmVm};
 use crate::schedule::{Schedule, TaskPlacement};
 use crate::vm::{Vm, VmId};
 use cws_dag::{TaskId, Workflow};
@@ -92,6 +92,9 @@ const N_PAIRS: usize = N_TYPES * N_TYPES;
 /// Bit-identity is unaffected — the table holds exactly
 /// `execution_time`'s results.
 const SMALL_DAG_TASKS: usize = 128;
+
+/// The empty warm pool of every builder that never claims warm slots.
+const NO_WARM: &dyn WarmOffers = &(&[] as &[WarmVm]);
 
 /// Index of an (instance-type, instance-type) pair in a transfer row.
 #[inline]
@@ -390,9 +393,10 @@ pub struct ScheduleBuilder<'a> {
     /// provisioning policies only ever see machines this workflow has
     /// actually claimed — pre-seeding `vms` would bias `busiest_vm`
     /// with history the policies were not designed to observe.
-    warm_slots: Vec<WarmVm>,
-    warm_claimed: Vec<bool>,
-    /// For each entry of `vms`, the warm-slot index it was claimed from
+    warm: &'a dyn WarmOffers,
+    /// Slots claimed so far, sorted (a handful per schedule).
+    warm_claimed: Vec<usize>,
+    /// For each entry of `vms`, the warm slot it was claimed from
     /// (`None` = fresh rental). Maintained in lock-step with `vms`.
     origins: Vec<Option<usize>>,
     /// Execution-time source: owned table, shared [`KernelTables`]
@@ -434,13 +438,17 @@ impl<'a> ScheduleBuilder<'a> {
     /// Start an empty schedule for `wf` on `platform`.
     #[must_use]
     pub fn new(wf: &'a Workflow, platform: &'a Platform) -> Self {
-        Self::with_warm_pool(wf, platform, &[])
+        Self::with_warm_pool(wf, platform, NO_WARM)
     }
 
     /// Start an empty schedule that may claim VMs from `warm` instead of
     /// renting fresh ones (see [`crate::pooled`] for the claiming rules).
     #[must_use]
-    pub fn with_warm_pool(wf: &'a Workflow, platform: &'a Platform, warm: &[WarmVm]) -> Self {
+    pub fn with_warm_pool(
+        wf: &'a Workflow,
+        platform: &'a Platform,
+        warm: &'a dyn WarmOffers,
+    ) -> Self {
         Self::construct(wf, platform, warm, None)
     }
 
@@ -453,7 +461,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// Panics if `tables` was built for a workflow of a different size.
     #[must_use]
     pub fn with_tables(wf: &'a Workflow, platform: &'a Platform, tables: &'a KernelTables) -> Self {
-        Self::construct(wf, platform, &[], Some(tables))
+        Self::construct(wf, platform, NO_WARM, Some(tables))
     }
 
     /// [`Self::with_tables`] when tables are at hand, [`Self::new`]
@@ -465,13 +473,13 @@ impl<'a> ScheduleBuilder<'a> {
         platform: &'a Platform,
         tables: Option<&'a KernelTables>,
     ) -> Self {
-        Self::construct(wf, platform, &[], tables)
+        Self::construct(wf, platform, NO_WARM, tables)
     }
 
     fn construct(
         wf: &'a Workflow,
         platform: &'a Platform,
-        warm: &[WarmVm],
+        warm: &'a dyn WarmOffers,
         tables: Option<&'a KernelTables>,
     ) -> Self {
         let net = &platform.network;
@@ -548,8 +556,8 @@ impl<'a> ScheduleBuilder<'a> {
             platform,
             vms: Vec::new(),
             placements: vec![None; wf.len()],
-            warm_slots: warm.to_vec(),
-            warm_claimed: vec![false; warm.len()],
+            warm,
+            warm_claimed: Vec::new(),
             origins: Vec::new(),
             exec,
             lat,
@@ -877,8 +885,8 @@ impl<'a> ScheduleBuilder<'a> {
         id
     }
 
-    /// For each rented VM (same order as [`Self::vms`]), the warm-slot
-    /// index it was claimed from — `None` for fresh rentals.
+    /// For each rented VM (same order as [`Self::vms`]), the warm slot
+    /// it was claimed from — `None` for fresh rentals.
     #[must_use]
     pub fn vm_origins(&self) -> &[Option<usize>] {
         &self.origins
@@ -895,7 +903,8 @@ impl<'a> ScheduleBuilder<'a> {
     /// (the NotExceed policies) the task must additionally fit in the
     /// slot's current partially-consumed BTU. Ties prefer the earlier
     /// start, then the slot deeper into its BTU (pack paid time), then
-    /// the lower slot index.
+    /// the lower slot id — so the result does not depend on the order
+    /// the [`WarmOffers`] source visits its slots in.
     #[must_use]
     pub fn best_warm_slot(
         &self,
@@ -904,25 +913,31 @@ impl<'a> ScheduleBuilder<'a> {
         require_fit: bool,
     ) -> Option<usize> {
         let duration = self.exec_time(task, itype);
+        let boot = self.platform.boot_time_s;
         let mut probe = self.probe(task);
-        self.warm_slots
-            .iter()
-            .enumerate()
-            .filter(|&(i, slot)| !self.warm_claimed[i] && slot.itype == itype)
-            .filter_map(|(i, slot)| {
-                let ready = probe.ready_fresh(itype, slot.region);
-                let start = ready.max(slot.available_rel);
-                let fresh_start = ready + self.platform.boot_time_s;
-                let beats_fresh = start <= fresh_start + EPS;
-                let fits = !require_fit || fits_in_current_btu(slot.btu_elapsed, duration);
-                (beats_fresh && fits).then_some((i, slot, start))
-            })
-            .min_by(|(ia, sa, ta), (ib, sb, tb)| {
-                ta.total_cmp(tb)
-                    .then(sb.btu_elapsed.total_cmp(&sa.btu_elapsed))
-                    .then(ia.cmp(ib))
-            })
-            .map(|(i, _, _)| i)
+        let mut best: Option<(usize, f64, f64)> = None; // (slot, start, btu_elapsed)
+        self.warm.offer(itype, &mut |i, slot| {
+            if self.warm_claimed.binary_search(&i).is_ok() {
+                return true;
+            }
+            let ready = probe.ready_fresh(itype, slot.region);
+            let start = ready.max(slot.available_rel);
+            let fresh_start = ready + boot;
+            let beats_fresh = start <= fresh_start + EPS;
+            let fits = !require_fit || fits_in_current_btu(slot.btu_elapsed, duration);
+            let better = best.is_none_or(|(bi, bs, be)| {
+                start
+                    .total_cmp(&bs)
+                    .then(be.total_cmp(&slot.btu_elapsed))
+                    .then(i.cmp(&bi))
+                    .is_lt()
+            });
+            if beats_fresh && fits && better {
+                best = Some((i, start, slot.btu_elapsed));
+            }
+            beats_fresh
+        });
+        best.map(|(i, _, _)| i)
     }
 
     /// Claim warm slot `slot` for `task`: the slot becomes a rented VM
@@ -933,14 +948,16 @@ impl<'a> ScheduleBuilder<'a> {
     /// # Panics
     /// Panics if the slot was already claimed.
     pub fn claim_warm(&mut self, task: TaskId, slot: usize) -> VmId {
-        assert!(!self.warm_claimed[slot], "warm slot {slot} claimed twice");
-        self.warm_claimed[slot] = true;
+        match self.warm_claimed.binary_search(&slot) {
+            Ok(_) => panic!("warm slot {slot} claimed twice"),
+            Err(at) => self.warm_claimed.insert(at, slot),
+        }
         let WarmVm {
             itype,
             region,
             available_rel,
             btu_elapsed,
-        } = self.warm_slots[slot];
+        } = self.warm.slot(slot);
         let id = VmId(self.vms.len() as u32);
         let ready = self.ready_time(task, None, itype, region);
         let start = ready.max(available_rel);

@@ -21,7 +21,7 @@
 
 use crate::shard::ShardedPool;
 use crate::wire::{parse_request, Request};
-use cws_core::pooled::pooled_static;
+use cws_core::pooled::{pooled_static, pooled_static_with};
 use cws_core::StaticAlloc;
 use cws_dag::Workflow;
 use cws_obs as obs;
@@ -150,9 +150,9 @@ impl ServeCore {
         self.clock = now;
         self.pool.reclaim_until(now);
         self.pool.drain_folded(&mut self.acc, &self.platform);
-        let (warm, slot_map) = self.pool.warm_slots(now);
         let opts = &self.opts;
-        let pooled = pooled_static(wf, &self.platform, opts.alloc, opts.itype, &warm);
+        let warm = self.pool.warm_index(now);
+        let pooled = pooled_static_with(wf, &self.platform, opts.alloc, opts.itype, &warm);
         let cold = obs::quiet(|| pooled_static(wf, &self.platform, opts.alloc, opts.itype, &[]));
         let queue_delay_s = pooled
             .schedule
@@ -172,7 +172,7 @@ impl ServeCore {
         };
         self.acc.record(&record);
         self.pool
-            .commit(now, tenant, &pooled, &slot_map, &self.platform);
+            .commit_indexed(now, tenant, &pooled, &self.platform);
         SubmitOutcome {
             tenant,
             time: now,
@@ -326,10 +326,13 @@ impl Daemon {
         &self.addr
     }
 
-    /// Serve connections sequentially until a `shutdown` request.
+    /// Serve connections sequentially until a `shutdown` request. A
+    /// read or write failure on one connection (input that is not
+    /// UTF-8, a client that hung up before reading its replies) is
+    /// logged to stderr and drops that connection only.
     ///
     /// # Errors
-    /// Propagates socket accept/read/write failures.
+    /// Propagates socket accept failures.
     pub fn run(&self, core: &mut ServeCore) -> std::io::Result<()> {
         // Audited wall-clock use (see the module docs): a startup
         // stamp on stderr for the operator. Simulation time starts at
@@ -342,19 +345,15 @@ impl Daemon {
             self.addr
         );
         loop {
-            let done = match &self.listener {
-                Listener::Tcp(l) => {
-                    let (stream, _) = l.accept()?;
-                    serve_connection(stream, core)?
-                }
+            let served = match &self.listener {
+                Listener::Tcp(l) => serve_connection(l.accept()?.0, core),
                 #[cfg(unix)]
-                Listener::Unix(l) => {
-                    let (stream, _) = l.accept()?;
-                    serve_connection(stream, core)?
-                }
+                Listener::Unix(l) => serve_connection(l.accept()?.0, core),
             };
-            if done {
-                return Ok(());
+            match served {
+                Ok(true) => return Ok(()),
+                Ok(false) => {}
+                Err(e) => eprintln!("cws-serve: dropped a connection: {e}"),
             }
         }
     }

@@ -6,7 +6,7 @@
 //! Per submission the expensive work is *preparation* — materializing
 //! the workflow from its ticket seed and scheduling the cold one-shot
 //! reference — neither of which touches the pool. The commit step
-//! (warm snapshot → pooled schedule → pool mutation) is cheap but
+//! (warm-index query → pooled schedule → pool mutation) is cheap but
 //! order-sensitive. So the engine splits them:
 //!
 //! ```text
@@ -31,7 +31,7 @@
 //! [`ReportAccumulator`] (rental order) and are dropped.
 
 use crate::shard::ShardedPool;
-use cws_core::pooled::pooled_static;
+use cws_core::pooled::{pooled_static, pooled_static_with};
 use cws_core::StaticAlloc;
 use cws_dag::Workflow;
 use cws_obs as obs;
@@ -126,8 +126,7 @@ fn commit_one(
     let now = p.time;
     pool.reclaim_until(now);
     pool.drain_folded(acc, platform);
-    let (warm, slot_map) = pool.warm_slots(now);
-    let pooled = pooled_static(&p.wf, platform, alloc, itype, &warm);
+    let pooled = pooled_static_with(&p.wf, platform, alloc, itype, &pool.warm_index(now));
     let queue_delay_s = pooled
         .schedule
         .placements
@@ -150,7 +149,7 @@ fn commit_one(
             .histogram(obs::metrics::names::SERVICE_QUEUE_WAIT)
             .record((record.queue_delay_s * 1000.0).round() as u64);
     }
-    pool.commit(now, p.tenant, &pooled, &slot_map, platform);
+    pool.commit_indexed(now, p.tenant, &pooled, platform);
 }
 
 /// Run the sharded engine and fold the whole run into an accumulator.

@@ -11,7 +11,7 @@
 //!
 //! | Module | Responsibility |
 //! |--------|----------------|
-//! | [`shard`] | the [`ShardedPool`]: per-region shards with their own event queues and billing meters, merged in global rental order |
+//! | [`shard`] | the [`ShardedPool`]: per-region shards with their own event queues and billing meters, merged in global rental order, plus the availability index submissions plan against |
 //! | [`engine`] | the pipelined executor: lazy [`cws_service::TicketStream`] arrivals, parallel preparation under [`cws_obs::quiet`], strict in-order commits |
 //! | [`wire`] | the JSON-lines workflow interchange format (first cut) |
 //! | [`daemon`] | the long-lived `cws-exp serve --listen` daemon: socket accept loop around a [`ServeCore`] |
@@ -32,5 +32,5 @@ pub mod wire;
 
 pub use daemon::{Daemon, ServeCore, ServeOptions, SubmitOutcome};
 pub use engine::{run_sharded_service, run_sharded_summary, ShardedConfig, SERVICE_SHARDS};
-pub use shard::{shard_metric, Shard, ShardRouter, ShardedPool};
+pub use shard::{shard_metric, Shard, ShardRouter, ShardedPool, WarmIndex};
 pub use wire::{parse_request, parse_workflow, workflow_to_json, Request};

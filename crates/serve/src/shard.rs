@@ -19,12 +19,25 @@
 //!    opened (region affinity first, round-robin spill within the
 //!    region) — no hashing, no thread identity, no clock.
 //! 3. **Ordered merge.** Every cross-shard operation iterates machines
-//!    in global rental-id order: warm slots are offered in rental
-//!    order (so scheduler tie-breaks see the legacy slot order),
-//!    reclaim events are emitted in rental order, and terminated
-//!    machines are folded into the [`ReportAccumulator`] in rental
-//!    order via a reorder buffer (so float summation order matches the
-//!    eager path bit for bit).
+//!    in global rental-id order: reclaim events are emitted in rental
+//!    order, and terminated machines are folded into the
+//!    [`ReportAccumulator`] in rental order via a reorder buffer (so
+//!    float summation order matches the eager path bit for bit). Warm
+//!    slots break scheduler ties on the rental id, so the slot chosen
+//!    is the legacy one whichever order they are visited in.
+//!
+//! # The warm index
+//!
+//! A submission plans against [`ShardedPool::warm_index`], not a
+//! snapshot of the pool. Per `(itype, region)` bucket the index keeps
+//! the live machines ordered by `(available_at, rental id)`, and is
+//! updated on every lease, claim and reclaim. The scheduler visits one
+//! bucket in ascending availability and stops at the first machine
+//! that would start the task later than a cold boot: the start time
+//! `ready.max(available_rel)` never decreases along the bucket, so no
+//! later machine could be eligible either. A query therefore visits
+//! the eligible machines plus at most one per bucket — `O(log P +
+//! eligible)` per rent-fresh decision instead of `O(P)`.
 //!
 //! Terminated machines leave the live set immediately and are dropped
 //! once folded, so memory tracks the live pool plus the fold's reorder
@@ -40,11 +53,12 @@
 //! [`VmPool`]: cws_service::VmPool
 //! [`ReportAccumulator`]: cws_service::ReportAccumulator
 
-use cws_core::pooled::{PooledSchedule, WarmVm};
+use cws_core::pooled::{PooledSchedule, WarmOffers, WarmVm};
 use cws_obs as obs;
-use cws_platform::{Platform, Region, BTU_SECONDS};
+use cws_platform::{InstanceType, Platform, Region};
 use cws_service::{reclaim_deadline, PoolVm, ReclaimPolicy, ReportAccumulator};
 use cws_sim::EventQueue;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Deterministic machine→shard placement: region affinity first, then
@@ -142,6 +156,53 @@ struct LiveVm {
     shard: usize,
 }
 
+/// An availability time ordered by [`f64::total_cmp`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Avail(f64);
+
+impl Eq for Avail {}
+
+impl Ord for Avail {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Avail {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The live machines per `(itype, region)` bucket, ordered by
+/// `(available_at, rental id)`; each entry carries the machine's rental
+/// start, the one other field a warm offer needs.
+#[derive(Debug)]
+struct AvailIndex {
+    buckets: Vec<BTreeMap<(Avail, usize), f64>>,
+}
+
+impl AvailIndex {
+    fn new() -> Self {
+        AvailIndex {
+            buckets: vec![BTreeMap::new(); InstanceType::ALL.len() * Region::ALL.len()],
+        }
+    }
+
+    fn bucket(itype: InstanceType, region: Region) -> usize {
+        itype as usize * Region::ALL.len() + region as usize
+    }
+
+    fn insert(&mut self, id: usize, vm: &PoolVm) {
+        self.buckets[Self::bucket(vm.itype, vm.region)]
+            .insert((Avail(vm.available_at), id), vm.rented_at);
+    }
+
+    fn remove(&mut self, id: usize, vm: &PoolVm) {
+        self.buckets[Self::bucket(vm.itype, vm.region)].remove(&(Avail(vm.available_at), id));
+    }
+}
+
 /// The sharded pool. Observable behaviour (slots offered, events
 /// emitted, report folds) is byte-identical to [`cws_service::VmPool`]
 /// driven by the same submission sequence, at any shard count — see
@@ -154,6 +215,9 @@ pub struct ShardedPool {
     /// Live machines keyed by global rental id (BTreeMap iteration ==
     /// rental order — the ordered merge).
     live: BTreeMap<usize, LiveVm>,
+    /// The same machines by bucket and availability (see the module
+    /// docs), kept in step with `live`.
+    index: AvailIndex,
     /// Next global rental id.
     next_id: usize,
     /// Terminated machines awaiting their turn in the rental-order
@@ -179,6 +243,7 @@ impl ShardedPool {
             router: ShardRouter::new(shards),
             shards: (0..shards).map(Shard::new).collect(),
             live: BTreeMap::new(),
+            index: AvailIndex::new(),
             next_id: 0,
             pending: BTreeMap::new(),
             next_fold: 0,
@@ -247,6 +312,7 @@ impl ShardedPool {
         // the reclaim queue, which holds live machines by construction.
         // cws-lint: allow(unwrap-in-kernel)
         let LiveVm { mut vm, shard } = self.live.remove(&id).expect("machine is live");
+        self.index.remove(id, &vm);
         let deadline = reclaim_deadline(self.policy, &vm);
         vm.terminated_at = Some(deadline);
         let btus = vm.billed_btus();
@@ -277,37 +343,40 @@ impl ShardedPool {
     }
 
     /// Snapshot the live machines as warm slots on a workflow clock
-    /// that starts at `now` — in global rental order, so the scheduler
-    /// sees the same slot sequence (and applies the same tie-breaks)
-    /// as against the legacy pool. Returns the slots plus the map from
-    /// slot index back to global rental id.
+    /// that starts at `now`, in global rental order (the legacy pool's
+    /// slot sequence). Returns the slots plus the map from slot index
+    /// back to global rental id. Planning against [`Self::warm_index`]
+    /// chooses the same machines without copying the pool.
     #[must_use]
     pub fn warm_slots(&self, now: f64) -> (Vec<WarmVm>, Vec<usize>) {
-        let mut slots = Vec::new();
-        let mut map = Vec::new();
         // Under Immediate reclaim a machine dies the instant it idles,
         // so nothing is ever offered (the no-reuse baseline).
         if self.policy == ReclaimPolicy::Immediate {
-            return (slots, map);
+            return (Vec::new(), Vec::new());
         }
-        for (&id, entry) in &self.live {
-            let vm = &entry.vm;
-            let handoff = vm.available_at.max(now);
-            slots.push(WarmVm {
-                itype: vm.itype,
-                region: vm.region,
-                available_rel: (vm.available_at - now).max(0.0),
-                btu_elapsed: (handoff - vm.rented_at) % BTU_SECONDS,
-            });
-            map.push(id);
-        }
-        (slots, map)
+        self.live
+            .iter()
+            .map(|(&id, entry)| {
+                let vm = &entry.vm;
+                let slot = WarmVm::handoff(vm.itype, vm.region, vm.rented_at, vm.available_at, now);
+                (slot, id)
+            })
+            .unzip()
+    }
+
+    /// The warm machines on a workflow clock that starts at `now`, as
+    /// a [`WarmOffers`] source for `pooled_static_with`. Slots are
+    /// rental ids; commit the schedule with [`Self::commit_indexed`].
+    #[must_use]
+    pub fn warm_index(&self, now: f64) -> WarmIndex<'_> {
+        WarmIndex { pool: self, now }
     }
 
     /// Commit a pooled schedule produced at wall time `now` for
-    /// `tenant`: claimed slots extend their machine (and re-queue its
-    /// reclaim deadline on its shard), fresh rentals open machines
-    /// with the next global rental ids, routed to shards.
+    /// `tenant` against a [`Self::warm_slots`] snapshot: claimed slots
+    /// extend their machine (and re-queue its reclaim deadline on its
+    /// shard), fresh rentals open machines with the next global rental
+    /// ids, routed to shards.
     ///
     /// # Panics
     /// Panics if the schedule claims a slot `warm_slots` did not offer
@@ -318,6 +387,32 @@ impl ShardedPool {
         tenant: usize,
         ps: &PooledSchedule,
         slot_map: &[usize],
+        platform: &Platform,
+    ) {
+        self.commit_claims(now, tenant, ps, |slot| slot_map[slot], platform);
+    }
+
+    /// [`Self::commit`] for a schedule planned against
+    /// [`Self::warm_index`], whose claimed slots are rental ids.
+    ///
+    /// # Panics
+    /// Panics if the schedule claims a machine that is not live.
+    pub fn commit_indexed(
+        &mut self,
+        now: f64,
+        tenant: usize,
+        ps: &PooledSchedule,
+        platform: &Platform,
+    ) {
+        self.commit_claims(now, tenant, ps, |id| id, platform);
+    }
+
+    fn commit_claims(
+        &mut self,
+        now: f64,
+        tenant: usize,
+        ps: &PooledSchedule,
+        rental_id: impl Fn(usize) -> usize,
         platform: &Platform,
     ) {
         let boot_time_s = platform.boot_time_s;
@@ -331,21 +426,11 @@ impl ShardedPool {
             let wall_intervals = vm.tasks.iter().map(|&(_, s, f)| (now + s, now + f));
             match ps.origins[vi] {
                 Some(slot) => {
-                    let id = slot_map[slot];
-                    // Invariant: `origins` slots were filled from `live`
-                    // earlier in this call, with no terminate in between.
-                    // cws-lint: allow(unwrap-in-kernel)
-                    let entry = self.live.get_mut(&id).expect("claimed a live machine");
-                    let p = &mut entry.vm;
-                    p.available_at = now + last_finish;
+                    let p = self.set_available(rental_id(slot), now + last_finish);
                     p.busy_s += busy;
                     p.add_tenant_busy(tenant, busy);
                     p.intervals.extend(wall_intervals);
                     p.workflows_served += 1;
-                    // The extension moved the reclaim deadline later:
-                    // queue the fresh one, the stale entry is skipped.
-                    let deadline = reclaim_deadline(self.policy, p);
-                    self.shards[entry.shard].queue.push(deadline, id);
                 }
                 None => {
                     let mut p = PoolVm {
@@ -364,27 +449,19 @@ impl ShardedPool {
                     };
                     p.add_tenant_busy(tenant, busy);
                     cold += 1;
-                    let id = self.next_id;
-                    self.next_id += 1;
                     obs::emit(|| obs::TraceEvent::PoolLease {
-                        vm: id as u32,
+                        vm: self.next_id as u32,
                         itype: p.itype.name().to_string(),
                         region: p.region.id().to_string(),
                         price_per_btu: p.price_per_btu,
                         time: p.rented_at,
                     });
-                    let shard = self.router.route(p.region);
-                    let deadline = reclaim_deadline(self.policy, &p);
-                    let s = &mut self.shards[shard];
-                    s.queue.push(deadline, id);
-                    s.live += 1;
-                    s.leases += 1;
+                    let (_, shard) = self.open(p);
                     if obs::metrics_enabled() {
                         obs::MetricsRegistry::global()
                             .counter(&shard_metric(shard, "leases"))
                             .inc();
                     }
-                    self.live.insert(id, LiveVm { vm: p, shard });
                 }
             }
         }
@@ -393,6 +470,39 @@ impl ShardedPool {
                 .counter(obs::metrics::names::POOL_COLD_RENTALS)
                 .add(cold);
         }
+    }
+
+    /// Lease `vm` under the next global rental id: route it to a
+    /// shard, queue its reclaim deadline there and index it. Returns
+    /// the id and the shard.
+    fn open(&mut self, vm: PoolVm) -> (usize, usize) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let shard = self.router.route(vm.region);
+        let deadline = reclaim_deadline(self.policy, &vm);
+        let s = &mut self.shards[shard];
+        s.queue.push(deadline, id);
+        s.live += 1;
+        s.leases += 1;
+        self.index.insert(id, &vm);
+        self.live.insert(id, LiveVm { vm, shard });
+        (id, shard)
+    }
+
+    /// Move live machine `id`'s availability to `available_at`,
+    /// re-indexing it and queueing its new reclaim deadline (the stale
+    /// queue entry is skipped on pop). Returns the machine.
+    fn set_available(&mut self, id: usize, available_at: f64) -> &mut PoolVm {
+        // Invariant: callers pass ids of machines offered by this pool
+        // for the current submission, with no terminate in between.
+        // cws-lint: allow(unwrap-in-kernel)
+        let entry = self.live.get_mut(&id).expect("claimed a live machine");
+        self.index.remove(id, &entry.vm);
+        entry.vm.available_at = available_at;
+        self.index.insert(id, &entry.vm);
+        let deadline = reclaim_deadline(self.policy, &entry.vm);
+        self.shards[entry.shard].queue.push(deadline, id);
+        &mut entry.vm
     }
 
     /// Terminate every still-live machine at its reclaim deadline (end
@@ -426,16 +536,44 @@ impl ShardedPool {
     /// without driving full schedules through the pool.
     #[doc(hidden)]
     pub fn insert_raw(&mut self, vm: PoolVm) -> usize {
-        let id = self.next_id;
-        self.next_id += 1;
-        let shard = self.router.route(vm.region);
-        let deadline = reclaim_deadline(self.policy, &vm);
-        let s = &mut self.shards[shard];
-        s.queue.push(deadline, id);
-        s.live += 1;
-        s.leases += 1;
-        self.live.insert(id, LiveVm { vm, shard });
-        id
+        self.open(vm).0
+    }
+}
+
+/// The warm index of a [`ShardedPool`] seen from a workflow arriving at
+/// `now` (see [`ShardedPool::warm_index`]). Each region's bucket is
+/// visited in ascending availability, so the scheduler's early stop
+/// skips every machine that cannot beat a cold boot.
+#[derive(Debug, Clone, Copy)]
+pub struct WarmIndex<'p> {
+    pool: &'p ShardedPool,
+    now: f64,
+}
+
+impl WarmOffers for WarmIndex<'_> {
+    fn offer(&self, itype: InstanceType, visit: &mut dyn FnMut(usize, WarmVm) -> bool) {
+        // Immediate reclaim offers nothing, as `warm_slots` does.
+        if self.pool.policy == ReclaimPolicy::Immediate {
+            return;
+        }
+        for region in Region::ALL {
+            let bucket = &self.pool.index.buckets[AvailIndex::bucket(itype, region)];
+            for (&(Avail(available_at), id), &rented_at) in bucket {
+                let slot = WarmVm::handoff(itype, region, rented_at, available_at, self.now);
+                if !visit(id, slot) {
+                    break;
+                }
+            }
+        }
+    }
+
+    fn slot(&self, slot: usize) -> WarmVm {
+        // Invariant: `offer` hands out ids of live machines only, and the
+        // pool cannot change while this view borrows it.
+        // cws-lint: allow(unwrap-in-kernel)
+        let entry = self.pool.live.get(&slot).expect("offered a live machine");
+        let vm = &entry.vm;
+        WarmVm::handoff(vm.itype, vm.region, vm.rented_at, vm.available_at, self.now)
     }
 }
 
@@ -448,13 +586,25 @@ pub fn shard_metric(shard: usize, what: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cws_platform::InstanceType;
+    use cws_core::pooled::pooled_static_with;
+    use cws_core::StaticAlloc;
+    use cws_platform::BTU_SECONDS;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     fn one_shot_vm(rented_at: f64, busy_until: f64) -> PoolVm {
+        vm_in(
+            InstanceType::Small,
+            Platform::ec2_paper().default_region,
+            rented_at,
+            busy_until,
+        )
+    }
+
+    fn vm_in(itype: InstanceType, region: Region, rented_at: f64, busy_until: f64) -> PoolVm {
         let p = Platform::ec2_paper();
         PoolVm {
-            itype: InstanceType::Small,
-            region: p.default_region,
+            itype,
+            region,
             rented_at,
             available_at: busy_until,
             terminated_at: None,
@@ -462,7 +612,24 @@ mod tests {
             busy_by_tenant: vec![(0, busy_until - rented_at)],
             intervals: vec![(rented_at, busy_until)],
             workflows_served: 1,
-            price_per_btu: p.price_in(p.default_region, InstanceType::Small),
+            price_per_btu: p.price_in(region, itype),
+        }
+    }
+
+    /// A [`WarmOffers`] source counting the machines its inner one visits.
+    #[derive(Debug)]
+    struct Counting<'p>(WarmIndex<'p>, AtomicUsize);
+
+    impl WarmOffers for Counting<'_> {
+        fn offer(&self, itype: InstanceType, visit: &mut dyn FnMut(usize, WarmVm) -> bool) {
+            self.0.offer(itype, &mut |id, slot| {
+                self.1.fetch_add(1, AtomicOrdering::Relaxed);
+                visit(id, slot)
+            });
+        }
+
+        fn slot(&self, slot: usize) -> WarmVm {
+            self.0.slot(slot)
         }
     }
 
@@ -503,6 +670,50 @@ mod tests {
     }
 
     #[test]
+    fn index_query_visits_eligible_machines_plus_one_per_bucket() {
+        // 10^4 machines busy for hours across three regions, plus a
+        // thousand of another type, plus three idle ones: a rent-fresh
+        // decision must not walk the busy ones.
+        let now = 10.0 * BTU_SECONDS;
+        let p = Platform::ec2_paper().with_boot_time(120.0);
+        let regions = [p.default_region, Region::UsWestOregon, Region::EuDublin];
+        let mut pool = ShardedPool::new(ReclaimPolicy::AtBtuBoundary, 4);
+        for i in 0..10_000 {
+            let busy_until = now + 3.0 * BTU_SECONDS + i as f64;
+            pool.insert_raw(vm_in(
+                InstanceType::Small,
+                regions[i % 3],
+                now - 600.0,
+                busy_until,
+            ));
+        }
+        for i in 0..1_000 {
+            pool.insert_raw(vm_in(InstanceType::Large, regions[i % 3], now - 600.0, now));
+        }
+        for region in regions {
+            pool.insert_raw(vm_in(InstanceType::Small, region, now - 600.0, now - 60.0));
+        }
+        let mut b = cws_dag::WorkflowBuilder::new("one");
+        b.task("t", 100.0);
+        let wf = b.build().expect("one task");
+        let offers = Counting(pool.warm_index(now), AtomicUsize::new(0));
+        let ps = pooled_static_with(
+            &wf,
+            &p,
+            StaticAlloc::HeftOneVmPerTask,
+            InstanceType::Small,
+            &offers,
+        );
+        assert_eq!(ps.pool_hits(), 1, "an idle machine beats the 120 s boot");
+        let (eligible, buckets) = (3, 3);
+        let visited = offers.1.load(AtomicOrdering::Relaxed);
+        assert!(
+            visited <= eligible + buckets,
+            "visited {visited} machines of 11003"
+        );
+    }
+
+    #[test]
     fn immediate_policy_offers_nothing() {
         let mut pool = ShardedPool::new(ReclaimPolicy::Immediate, 2);
         pool.insert_raw(one_shot_vm(0.0, 500.0));
@@ -530,13 +741,7 @@ mod tests {
         let id = pool.insert_raw(one_shot_vm(0.0, 1000.0));
         // Extend the machine past its queued deadline, as a claim
         // would, and queue the fresh deadline.
-        {
-            let entry = pool.live.get_mut(&id).expect("live");
-            entry.vm.available_at = 4000.0;
-            let d = reclaim_deadline(pool.policy, &entry.vm);
-            let shard = entry.shard;
-            pool.shards[shard].queue.push(d, id);
-        }
+        pool.set_available(id, 4000.0);
         pool.reclaim_until(BTU_SECONDS); // stale entry pops, is skipped
         assert_eq!(pool.live_count(), 1, "extended machine must survive");
         pool.reclaim_until(2.0 * BTU_SECONDS);

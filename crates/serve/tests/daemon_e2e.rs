@@ -120,3 +120,46 @@ fn unix_socket_flavor_works() {
     server.join().expect("daemon thread");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Queue a client that sends `payload` and hangs up on the daemon's
+/// backlog before it starts, so every reply to that client fails; then
+/// a new connection must still be served through `shutdown`.
+#[cfg(unix)]
+fn survives(tag: &str, payload: &[u8]) {
+    use std::os::unix::net::UnixStream;
+    let path =
+        std::env::temp_dir().join(format!("cws-serve-e2e-{tag}-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let daemon = Daemon::bind(path.to_str().expect("utf8 temp path")).expect("bind unix socket");
+    let mut bad = UnixStream::connect(&path).expect("connect");
+    bad.write_all(payload).expect("send payload");
+    drop(bad);
+    let platform = Platform::ec2_paper();
+    let server = thread::spawn(move || {
+        let mut core = ServeCore::new(&platform, ServeOptions::default());
+        daemon.run(&mut core)
+    });
+    let stream = UnixStream::connect(&path).expect("daemon still accepts");
+    let mut conn = BufReader::new(stream);
+    let reply = roundtrip(&mut conn, &demo_submit("astro", 0.0));
+    assert!(ok(&reply), "{reply:?}");
+    let last = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
+    assert!(ok(&last), "{last:?}");
+    server
+        .join()
+        .expect("daemon thread")
+        .expect("a bad client must not end the daemon");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[cfg(unix)]
+#[test]
+fn non_utf8_client_does_not_kill_the_daemon() {
+    survives("utf8", b"\xff\xfe{\"cmd\":\"report\"}\n");
+}
+
+#[cfg(unix)]
+#[test]
+fn client_closing_before_its_replies_does_not_kill_the_daemon() {
+    survives("pipe", "{\"cmd\":\"report\"}\n".repeat(50).as_bytes());
+}

@@ -55,34 +55,50 @@ fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<u8>) {
     (result, captured)
 }
 
-fn config(seed: u64) -> ServiceConfig {
+/// A 120 s-boot, BTU-boundary-reclaim run of `tenants` under `alloc`
+/// for `hours` of arrivals.
+fn config_with(
+    seed: u64,
+    alloc: StaticAlloc,
+    tenants: Vec<TenantSpec>,
+    hours: f64,
+) -> ServiceConfig {
     ServiceConfig {
-        alloc: StaticAlloc::HeftStartParExceed,
+        alloc,
         itype: InstanceType::Small,
         reclaim: ReclaimPolicy::AtBtuBoundary,
         boot_time_s: 120.0,
-        tenants: vec![
-            TenantSpec {
-                name: "astro".to_string(),
-                kind: WorkloadKind::Montage24,
-                rate_per_hour: 6.0,
-            },
-            TenantSpec {
-                name: "climate".to_string(),
-                kind: WorkloadKind::CStem,
-                rate_per_hour: 4.0,
-            },
-            TenantSpec {
-                name: "batch".to_string(),
-                kind: WorkloadKind::BagOfTasks(16),
-                rate_per_hour: 3.0,
-            },
-        ],
+        tenants,
         model: ArrivalModel::Poisson {
-            horizon_s: 2.0 * 3600.0,
+            horizon_s: hours * 3600.0,
         },
         seed,
     }
+}
+
+fn tenant(name: &str, kind: WorkloadKind, rate_per_hour: f64) -> TenantSpec {
+    TenantSpec {
+        name: name.to_string(),
+        kind,
+        rate_per_hour,
+    }
+}
+
+/// Three light tenants (≤ 6 submissions/h each) over two hours.
+fn config(seed: u64) -> ServiceConfig {
+    let tenants = vec![
+        tenant("astro", WorkloadKind::Montage24, 6.0),
+        tenant("climate", WorkloadKind::CStem, 4.0),
+        tenant("batch", WorkloadKind::BagOfTasks(16), 3.0),
+    ];
+    config_with(seed, StaticAlloc::HeftStartParExceed, tenants, 2.0)
+}
+
+/// One Montage24 tenant at 2000 submissions/h for a quarter hour: a
+/// dense pool of hundreds of live machines, most of them busy.
+fn dense(seed: u64, alloc: StaticAlloc) -> ServiceConfig {
+    let tenants = vec![tenant("astro", WorkloadKind::Montage24, 2000.0)];
+    config_with(seed, alloc, tenants, 0.25)
 }
 
 /// The full matrix from ISSUE/CI: seeds 7, 42, 1337 × shards 1, 2, 8 ×
@@ -121,6 +137,49 @@ fn report_and_trace_are_invariant_across_shards_and_threads() {
                      (legacy {} bytes, sharded {} bytes)",
                     legacy_trace.len(),
                     trace.len()
+                );
+            }
+        }
+    }
+}
+
+/// Dense pools, where most warm machines cannot beat a cold boot, under
+/// an Exceed and a NotExceed allocation (the latter filters warm slots
+/// by their BTU budget): report and trace bytes equal legacy at shards
+/// {1, 3} × threads {1, 4}.
+#[test]
+fn dense_pools_and_not_exceed_are_invariant() {
+    let _g = obs_lock();
+    obs::set_metrics_enabled(false);
+    let platform = Platform::ec2_paper();
+    for alloc in [
+        StaticAlloc::HeftStartParExceed,
+        StaticAlloc::HeftStartParNotExceed,
+    ] {
+        let cfg = dense(42, alloc);
+        let (legacy_report, legacy_trace) = traced(|| run_service(&platform, &cfg));
+        let legacy_json = legacy_report.to_json();
+        assert!(
+            legacy_report.fleet.workflows > 300,
+            "{alloc:?}: the dense profile must be dense"
+        );
+        for shards in [1_usize, 3] {
+            for threads in [1_usize, 4] {
+                let scfg = ShardedConfig {
+                    service: cfg.clone(),
+                    shards,
+                    threads,
+                    epoch: 64,
+                };
+                let (report, trace) = traced(|| run_sharded_service(&platform, &scfg));
+                assert_eq!(
+                    report.to_json(),
+                    legacy_json,
+                    "report diverged: {alloc:?} shards {shards} threads {threads}"
+                );
+                assert!(
+                    trace == legacy_trace,
+                    "trace bytes diverged: {alloc:?} shards {shards} threads {threads}"
                 );
             }
         }

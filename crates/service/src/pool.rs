@@ -197,13 +197,13 @@ impl VmPool {
             if vm.terminated_at.is_some() {
                 continue;
             }
-            let handoff = vm.available_at.max(now);
-            slots.push(WarmVm {
-                itype: vm.itype,
-                region: vm.region,
-                available_rel: (vm.available_at - now).max(0.0),
-                btu_elapsed: (handoff - vm.rented_at) % BTU_SECONDS,
-            });
+            slots.push(WarmVm::handoff(
+                vm.itype,
+                vm.region,
+                vm.rented_at,
+                vm.available_at,
+                now,
+            ));
             map.push(i);
         }
         (slots, map)
