@@ -236,9 +236,9 @@ fn match_cfg_test(toks: &[Token], i: usize) -> Option<usize> {
     }
     // The predicate must *require* `test`: a bare `#[cfg(test)]`, or an
     // `all(..)` with `test` as a top-level conjunct. `any(test, ..)` /
-    // `not(test)` compile into non-test builds too (e.g. the naive
-    // reference kernel behind `cfg(any(test, feature = "naive"))` ships
-    // in release benches), so they are NOT test regions.
+    // `not(test)` compile into non-test builds too (code behind
+    // `cfg(any(test, feature = "x"))` ships whenever the feature is on),
+    // so they are NOT test regions.
     let mut depth = 1usize;
     let mut saw_test = false;
     let outer_all = toks.get(i + 4).and_then(Token::ident) == Some("all")
@@ -744,8 +744,7 @@ pub fn also_real() {}
     fn cfg_regions_require_test_as_a_conjunct() {
         // Only predicates that *require* `test` gate test-only code:
         // `any(test, feature = ..)` and `not(test)` both compile into
-        // non-test builds (the naive reference kernel ships in release
-        // benches behind `any(test, feature = "naive")`), so lints must
+        // non-test builds (whenever the feature is on), so lints must
         // keep firing there.
         assert_eq!(Scan::of("#[cfg(test)]\nmod t { }\n").test_regions.len(), 1);
         assert_eq!(

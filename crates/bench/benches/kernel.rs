@@ -1,10 +1,9 @@
-//! Kernel micro-benchmarks: the fast scheduling kernel vs the naive
-//! reference (`cws_core::state::naive`) on representative strategies.
-//! The JSON perf baseline lives in the `cws-bench` binary; this target
-//! keeps the comparison runnable under `cargo bench -p cws-bench`.
+//! Kernel micro-benchmarks: the scheduling kernel on representative
+//! strategies, plus batched vs per-VM probing. The JSON perf baseline
+//! lives in the `cws-bench` binary; this target keeps the kernel
+//! runnable under `cargo bench -p cws-bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cws_core::state::naive;
 use cws_core::{KernelTables, ScheduleBuilder, Strategy};
 use cws_platform::{InstanceType, Platform};
 use cws_workloads::random::{layered_dag, LayeredShape};
@@ -27,20 +26,9 @@ fn bench(c: &mut Criterion) {
     for (wf_name, wf) in [("montage-24", &montage), ("layered-1000", &layered)] {
         for label in ["StartParExceed-s", "AllParExceed-m", "AllPar1LnSDyn"] {
             let strategy = Strategy::parse(label).expect("known label");
-            group.bench_with_input(
-                BenchmarkId::new(&format!("fast/{label}"), wf_name),
-                wf,
-                |b, wf| b.iter(|| strategy.schedule(black_box(wf), black_box(&platform))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(&format!("naive/{label}"), wf_name),
-                wf,
-                |b, wf| {
-                    naive::set_reference_kernel(true);
-                    b.iter(|| strategy.schedule(black_box(wf), black_box(&platform)));
-                    naive::set_reference_kernel(false);
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(label, wf_name), wf, |b, wf| {
+                b.iter(|| strategy.schedule(black_box(wf), black_box(&platform)))
+            });
         }
     }
     group.finish();

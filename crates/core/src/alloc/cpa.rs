@@ -9,7 +9,7 @@
 //! per Sect. IV.
 
 use crate::schedule::Schedule;
-use crate::state::{KernelTables, ScheduleBuilder};
+use crate::state::{bandwidth_table, exec_table, pair_idx, KernelTables, ScheduleBuilder};
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{billing::btus_for_span, InstanceType, Platform};
 
@@ -88,10 +88,6 @@ pub fn cpa_eager_types_with(
     budget: f64,
     tables: Option<&KernelTables>,
 ) -> Vec<InstanceType> {
-    #[cfg(any(test, feature = "naive"))]
-    if crate::state::naive::reference_kernel_enabled() {
-        return cpa_eager_types_reference(wf, platform, budget);
-    }
     // Per-(task, type) execution time and BTU rent plus the per-type-pair
     // bandwidth, hoisted out of the upgrade loop. Every value below is
     // computed exactly as the direct `execution_time` / `transfer_time` /
@@ -101,17 +97,7 @@ pub fn cpa_eager_types_with(
     let et: &[[f64; N_TYPES]] = match tables {
         Some(t) => t.exec_rows(),
         None => {
-            owned_et = wf
-                .ids()
-                .map(|t| {
-                    let base = wf.task(t).base_time;
-                    let mut row = [0.0; N_TYPES];
-                    for (j, it) in InstanceType::ALL.iter().enumerate() {
-                        row[j] = it.execution_time(base);
-                    }
-                    row
-                })
-                .collect();
+            owned_et = exec_table(wf);
             &owned_et
         }
     };
@@ -125,19 +111,14 @@ pub fn cpa_eager_types_with(
             out
         })
         .collect();
-    let mut bw = [[0.0; N_TYPES]; N_TYPES];
-    for (i, &a) in InstanceType::ALL.iter().enumerate() {
-        for (j, &b) in InstanceType::ALL.iter().enumerate() {
-            bw[i][j] = platform.network.path_bandwidth_mbps(a, b);
-        }
-    }
+    let bw = bandwidth_table(platform);
     let lat = platform
         .network
         .path_latency_s(platform.default_region, platform.default_region);
 
     // Successor CSR with a per-edge communication-cost cache. Each
-    // cached entry is exactly what the reference's comm closure computes
-    // — `data_mb / bw[from][to] + lat` — and an upgrade changes the
+    // cached entry is exactly what a direct `transfer_time` call computes
+    // — `data_mb / bw[pair] + lat` — and an upgrade changes the
     // operands of only the upgraded task's incident edges, so only those
     // entries are recomputed. The per-round critical-path walk below
     // replicates `cws_dag::critical_path` on the CSR: same edge order,
@@ -174,9 +155,7 @@ pub fn cpa_eager_types_with(
         *c += 1;
     }
     let comm_val = |k: usize, types: &[InstanceType]| -> f64 {
-        edge_data[k]
-            / bw[types[edge_from[k] as usize] as usize][types[edge_to[k] as usize] as usize]
-            + lat
+        edge_data[k] / bw[pair_idx(types[edge_from[k] as usize], types[edge_to[k] as usize])] + lat
     };
 
     let mut types = vec![InstanceType::Small; wf.len()];
@@ -349,52 +328,6 @@ pub fn cpa_eager_types_with(
                 upgraded = true;
                 break;
             }
-        }
-        if !upgraded {
-            return types;
-        }
-    }
-}
-
-/// The original upgrade loop, kept as the reference implementation:
-/// direct `execution_time` / `transfer_time` calls and a from-scratch
-/// `one_vm_per_task_cost` re-sum on every budget trial. The
-/// `fastpath_tests` property suite proves [`cpa_eager_types`] equal to
-/// this, and `cws-bench` measures the speedup against it.
-#[cfg(any(test, feature = "naive"))]
-fn cpa_eager_types_reference(wf: &Workflow, platform: &Platform, budget: f64) -> Vec<InstanceType> {
-    let mut types = vec![InstanceType::Small; wf.len()];
-    loop {
-        let cp = cws_dag::critical_path(
-            wf,
-            |t| types[t.index()].execution_time(wf.task(t).base_time),
-            |e| platform.transfer_time(e.data_mb, types[e.from.index()], types[e.to.index()]),
-        );
-        let mut candidates: Vec<TaskId> = cp
-            .tasks
-            .iter()
-            .copied()
-            .filter(|t| types[t.index()].next_faster().is_some())
-            .collect();
-        candidates.sort_by(|a, b| {
-            let ea = types[a.index()].execution_time(wf.task(*a).base_time);
-            let eb = types[b.index()].execution_time(wf.task(*b).base_time);
-            eb.total_cmp(&ea).then(a.0.cmp(&b.0))
-        });
-        let mut upgraded = false;
-        for t in candidates {
-            let faster = types[t.index()]
-                .next_faster()
-                // Candidates are pre-filtered to types with a faster tier.
-                // cws-lint: allow(unwrap-in-kernel)
-                .expect("filtered to upgradeable");
-            let prev = types[t.index()];
-            types[t.index()] = faster;
-            if one_vm_per_task_cost(wf, platform, &types) <= budget + 1e-9 {
-                upgraded = true;
-                break;
-            }
-            types[t.index()] = prev;
         }
         if !upgraded {
             return types;

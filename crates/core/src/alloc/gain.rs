@@ -12,7 +12,7 @@
 
 use super::cpa::{baseline_cost, schedule_one_vm_per_task_with};
 use crate::schedule::Schedule;
-use crate::state::KernelTables;
+use crate::state::{exec_table, KernelTables};
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{billing::btus_for_span, InstanceType, Platform};
 use std::cmp::Ordering;
@@ -153,10 +153,6 @@ pub fn gain_types_with(
     budget: f64,
     tables: Option<&KernelTables>,
 ) -> Vec<InstanceType> {
-    #[cfg(any(test, feature = "naive"))]
-    if crate::state::naive::reference_kernel_enabled() {
-        return gain_types_reference(wf, platform, budget);
-    }
     // Per-(task, type) execution time and BTU rent, hoisted out of the
     // loop. Values are computed exactly as `gain_matrix` and
     // `one_vm_per_task_cost` compute them.
@@ -164,17 +160,7 @@ pub fn gain_types_with(
     let et: &[[f64; N_TYPES]] = match tables {
         Some(t) => t.exec_rows(),
         None => {
-            owned_et = wf
-                .ids()
-                .map(|t| {
-                    let base = wf.task(t).base_time;
-                    let mut row = [0.0; N_TYPES];
-                    for (j, it) in InstanceType::ALL.iter().enumerate() {
-                        row[j] = it.execution_time(base);
-                    }
-                    row
-                })
-                .collect();
+            owned_et = exec_table(wf);
             &owned_et
         }
     };
@@ -262,39 +248,6 @@ pub fn gain_types_with(
             }
         }
         push_row(&mut heap, e.task, e.to, &et[i], &term[i], versions[i]);
-    }
-}
-
-/// The original upgrade loop, kept as the reference implementation:
-/// recompute and sort the whole matrix every iteration and re-sum the
-/// one-VM-per-task rent from scratch on every budget trial. The
-/// `fastpath_tests` property suite proves [`gain_types`] equal to this,
-/// and `cws-bench` measures the speedup against it.
-#[cfg(any(test, feature = "naive"))]
-fn gain_types_reference(wf: &Workflow, platform: &Platform, budget: f64) -> Vec<InstanceType> {
-    use super::cpa::one_vm_per_task_cost;
-    let mut types = vec![InstanceType::Small; wf.len()];
-    loop {
-        let mut entries = gain_matrix(wf, platform, &types);
-        entries.sort_by(|a, b| {
-            b.gain
-                .total_cmp(&a.gain)
-                .then(a.task.0.cmp(&b.task.0))
-                .then(a.to.speedup().total_cmp(&b.to.speedup()))
-        });
-        let mut applied = false;
-        for e in entries {
-            let prev = types[e.task.index()];
-            types[e.task.index()] = e.to;
-            if one_vm_per_task_cost(wf, platform, &types) <= budget + 1e-9 {
-                applied = true;
-                break;
-            }
-            types[e.task.index()] = prev;
-        }
-        if !applied {
-            return types;
-        }
     }
 }
 

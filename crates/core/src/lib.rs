@@ -39,9 +39,6 @@ pub mod state;
 pub mod strategy;
 pub mod vm;
 
-#[cfg(test)]
-mod fastpath_tests;
-
 pub use compare::{compare, compare_strategies, ScheduleComparison};
 pub use metrics::{RelativeMetrics, ScheduleMetrics};
 pub use pooled::{pooled_static, pooled_static_with, PooledSchedule, WarmOffers, WarmVm};

@@ -50,19 +50,20 @@
 //! building one [`KernelTables`] per `(dag, platform)` key and handing
 //! it to [`ScheduleBuilder::with_tables`] (counted by
 //! `kernel.table_reuse_hits`), and DAGs under `SMALL_DAG_TASKS` tasks
-//! skip exec-table setup entirely (`ExecSource::Direct`), which is
-//! what keeps the fast path ≥ 1× on the paper's 20-task workloads.
+//! skip exec-table setup entirely (`ExecSource::Direct`), because on
+//! the paper's 20-task workloads the table never pays for its own
+//! allocation.
 //!
-//! The fast path performs the *same floating-point operations* as the
-//! naive code: `f64::max` is exact, so regrouping the ready-time
-//! max-reduction per host VM is bit-identical, and the cached transfer
-//! factors are added in the original `size/bw + latency` order. The
-//! `naive` module keeps the original implementations (compiled only
-//! for tests and under the `naive` feature) and the `fastpath_tests`
-//! property suite proves schedule-level equality on random DAGs across
-//! every strategy pairing. The single documented deviation: idle gaps
-//! narrower than 1e-9 s are not indexed, which can only change the
-//! placement of tasks shorter than 2e-9 s.
+//! The fast path performs the *same floating-point operations* as a
+//! plain reading of the paper's semantics: `f64::max` is exact, so
+//! regrouping the ready-time max-reduction per host VM is bit-identical,
+//! and the cached transfer factors are added in the original
+//! `size/bw + latency` order. The reference implementations live only
+//! in the test oracle `crates/core/tests/kernel_oracle.rs`, which
+//! replays every strategy's traced placements and checks each probe
+//! answer bit for bit at every visited state. The single documented
+//! deviation: idle gaps narrower than 1e-9 s are not indexed, which can
+//! only change the placement of tasks shorter than 2e-9 s.
 
 use crate::pooled::{WarmOffers, WarmVm};
 use crate::schedule::{Schedule, TaskPlacement};
@@ -98,8 +99,60 @@ const NO_WARM: &dyn WarmOffers = &(&[] as &[WarmVm]);
 
 /// Index of an (instance-type, instance-type) pair in a transfer row.
 #[inline]
-fn pair_idx(from: InstanceType, to: InstanceType) -> usize {
+pub(crate) fn pair_idx(from: InstanceType, to: InstanceType) -> usize {
     (from as usize) * N_TYPES + (to as usize)
+}
+
+/// The `exec[task][itype]` execution-time table: exactly
+/// `execution_time`'s results, so every table-backed lookup is
+/// bit-identical to the direct call.
+pub(crate) fn exec_table(wf: &Workflow) -> Vec<[f64; N_TYPES]> {
+    wf.ids()
+        .map(|t| {
+            let base = wf.task(t).base_time;
+            let mut row = [0.0; N_TYPES];
+            for (j, it) in InstanceType::ALL.iter().enumerate() {
+                row[j] = it.execution_time(base);
+            }
+            row
+        })
+        .collect()
+}
+
+/// Path latency per (from-region, to-region) pair.
+fn latency_table(platform: &Platform) -> [[f64; N_REGIONS]; N_REGIONS] {
+    let mut lat = [[0.0; N_REGIONS]; N_REGIONS];
+    for (i, &a) in Region::ALL.iter().enumerate() {
+        for (j, &b) in Region::ALL.iter().enumerate() {
+            lat[i][j] = platform.network.path_latency_s(a, b);
+        }
+    }
+    lat
+}
+
+/// Path bandwidth in MB/s per (from-type, to-type) pair, indexed by
+/// [`pair_idx`].
+pub(crate) fn bandwidth_table(platform: &Platform) -> [f64; N_PAIRS] {
+    let mut bw = [0.0; N_PAIRS];
+    for &ft in &InstanceType::ALL {
+        for &tt in &InstanceType::ALL {
+            bw[pair_idx(ft, tt)] = platform.network.path_bandwidth_mbps(ft, tt);
+        }
+    }
+    bw
+}
+
+/// The table path divides by cached bandwidths instead of calling the
+/// platform's validating `transfer_time`, so sizes are checked once up
+/// front.
+fn check_edge_sizes(wf: &Workflow) {
+    for e in wf.edges() {
+        assert!(
+            e.data_mb >= 0.0,
+            "transfer size must be non-negative, got {}",
+            e.data_mb
+        );
+    }
 }
 
 /// Index of a (region, instance-type) candidate key.
@@ -145,41 +198,11 @@ impl KernelTables {
     /// validation a table-owning builder performs up front).
     #[must_use]
     pub fn build(wf: &Workflow, platform: &Platform) -> Self {
-        let net = &platform.network;
-        for e in wf.edges() {
-            assert!(
-                e.data_mb >= 0.0,
-                "transfer size must be non-negative, got {}",
-                e.data_mb
-            );
-        }
-        let exec = wf
-            .ids()
-            .map(|t| {
-                let base = wf.task(t).base_time;
-                let mut row = [0.0; N_TYPES];
-                for (j, it) in InstanceType::ALL.iter().enumerate() {
-                    row[j] = it.execution_time(base);
-                }
-                row
-            })
-            .collect();
-        let mut lat = [[0.0; N_REGIONS]; N_REGIONS];
-        for (i, &a) in Region::ALL.iter().enumerate() {
-            for (j, &b) in Region::ALL.iter().enumerate() {
-                lat[i][j] = net.path_latency_s(a, b);
-            }
-        }
-        let mut bw = [0.0; N_PAIRS];
-        for &ft in &InstanceType::ALL {
-            for &tt in &InstanceType::ALL {
-                bw[pair_idx(ft, tt)] = net.path_bandwidth_mbps(ft, tt);
-            }
-        }
+        check_edge_sizes(wf);
         KernelTables {
-            exec,
-            lat,
-            bw,
+            exec: exec_table(wf),
+            lat: latency_table(platform),
+            bw: bandwidth_table(platform),
             uses: AtomicU64::new(0),
         }
     }
@@ -207,8 +230,7 @@ enum ExecSource<'a> {
     /// Borrowed from a shared [`KernelTables`] (sweep amortisation).
     Shared(&'a KernelTables),
     /// No table at all: compute `execution_time` on demand. Used below
-    /// [`SMALL_DAG_TASKS`] and by naive-reference builders (which never
-    /// read it — every query short-circuits into [`naive`] first).
+    /// [`SMALL_DAG_TASKS`].
     Direct,
 }
 
@@ -288,7 +310,8 @@ struct VmGaps {
     /// Idle `[start, end)` windows in chronological order.
     gaps: Vec<(f64, f64)>,
     /// Maximum of the rental open and every appended task end — the
-    /// cursor the naive gap scan would hold after the last task.
+    /// cursor a full rescan of the VM's tasks would hold after the last
+    /// one.
     tail: f64,
 }
 
@@ -400,8 +423,7 @@ pub struct ScheduleBuilder<'a> {
     /// (`None` = fresh rental). Maintained in lock-step with `vms`.
     origins: Vec<Option<usize>>,
     /// Execution-time source: owned table, shared [`KernelTables`]
-    /// borrow, or on-demand computation (small DAGs and the naive
-    /// reference, which must not pay or benefit from fast-path setup).
+    /// borrow, or on-demand computation (small DAGs).
     exec: ExecSource<'a>,
     /// Path-latency table: `lat[from_region][to_region]`.
     lat: [[f64; N_REGIONS]; N_REGIONS],
@@ -423,12 +445,8 @@ pub struct ScheduleBuilder<'a> {
     /// Running `(busy_seconds, id)` argmax over `vms` (ties towards the
     /// smaller id). Valid because busy time never decreases.
     busiest: Option<(f64, VmId)>,
-    /// Route probes through the [`naive`] reference kernel (captured
-    /// from the thread-local switch at construction).
-    #[cfg(any(test, feature = "naive"))]
-    kernel_naive: bool,
-    /// Trace switch captured at construction — same pattern as
-    /// `kernel_naive`, so a disabled trace costs one branch on a local.
+    /// Trace switch captured at construction, so a disabled trace
+    /// costs one branch on a local.
     trace_on: bool,
     /// Kernel counters, present only while metrics are enabled.
     counters: Option<KernelCounters>,
@@ -482,19 +500,8 @@ impl<'a> ScheduleBuilder<'a> {
         warm: &'a dyn WarmOffers,
         tables: Option<&'a KernelTables>,
     ) -> Self {
-        let net = &platform.network;
-        #[cfg(any(test, feature = "naive"))]
-        let kernel_naive = naive::reference_kernel_enabled();
-        #[cfg(not(any(test, feature = "naive")))]
-        let kernel_naive = false;
         let counters = obs::metrics_enabled().then(KernelCounters::fetch);
-        let shared = if kernel_naive { None } else { tables };
-        let exec = if kernel_naive {
-            // Never read: every query short-circuits into `naive` first.
-            // Offered tables are ignored entirely (no use is recorded)
-            // so the reference pass keeps its original cost profile.
-            ExecSource::Direct
-        } else if let Some(t) = shared {
+        let (exec, lat, bw) = if let Some(t) = tables {
             assert_eq!(
                 t.exec.len(),
                 wf.len(),
@@ -506,50 +513,15 @@ impl<'a> ScheduleBuilder<'a> {
                     c.table_reuse.inc();
                 }
             }
-            ExecSource::Shared(t)
+            (ExecSource::Shared(t), t.lat, t.bw)
         } else {
-            // The naive kernel validates sizes inside `transfer_time`;
-            // the table path divides directly, so validate up front.
-            for e in wf.edges() {
-                assert!(
-                    e.data_mb >= 0.0,
-                    "transfer size must be non-negative, got {}",
-                    e.data_mb
-                );
-            }
-            if wf.len() < SMALL_DAG_TASKS {
+            check_edge_sizes(wf);
+            let exec = if wf.len() < SMALL_DAG_TASKS {
                 ExecSource::Direct
             } else {
-                ExecSource::Owned(
-                    wf.ids()
-                        .map(|t| {
-                            let base = wf.task(t).base_time;
-                            let mut row = [0.0; N_TYPES];
-                            for (j, it) in InstanceType::ALL.iter().enumerate() {
-                                row[j] = it.execution_time(base);
-                            }
-                            row
-                        })
-                        .collect(),
-                )
-            }
-        };
-        let (lat, bw) = if let Some(t) = shared {
-            (t.lat, t.bw)
-        } else {
-            let mut lat = [[0.0; N_REGIONS]; N_REGIONS];
-            for (i, &a) in Region::ALL.iter().enumerate() {
-                for (j, &b) in Region::ALL.iter().enumerate() {
-                    lat[i][j] = net.path_latency_s(a, b);
-                }
-            }
-            let mut bw = [0.0; N_PAIRS];
-            for &ft in &InstanceType::ALL {
-                for &tt in &InstanceType::ALL {
-                    bw[pair_idx(ft, tt)] = net.path_bandwidth_mbps(ft, tt);
-                }
-            }
-            (lat, bw)
+                ExecSource::Owned(exec_table(wf))
+            };
+            (exec, latency_table(platform), bandwidth_table(platform))
         };
         ScheduleBuilder {
             wf,
@@ -567,8 +539,6 @@ impl<'a> ScheduleBuilder<'a> {
             gaps: Vec::new(),
             scratch: ScratchCell::new(),
             busiest: None,
-            #[cfg(any(test, feature = "naive"))]
-            kernel_naive,
             trace_on: obs::trace_enabled(),
             counters,
         }
@@ -604,27 +574,18 @@ impl<'a> ScheduleBuilder<'a> {
         self.placements[task.index()]
     }
 
-    /// Fast-path execution-time lookup, dispatched on the builder's
-    /// [`ExecSource`]. `Direct` computes the same one-multiply
-    /// `execution_time` a table entry holds, so all three sources are
-    /// bit-identical.
+    /// Execution time of `task` on an instance of type `itype`,
+    /// dispatched on the builder's [`ExecSource`]. `Direct` computes the
+    /// same one-multiply `execution_time` a table entry holds, so all
+    /// three sources are bit-identical.
     #[inline]
-    fn exec_entry(&self, task: TaskId, itype: InstanceType) -> f64 {
+    #[must_use]
+    pub fn exec_time(&self, task: TaskId, itype: InstanceType) -> f64 {
         match &self.exec {
             ExecSource::Owned(t) => t[task.index()][itype as usize],
             ExecSource::Shared(t) => t.exec[task.index()][itype as usize],
             ExecSource::Direct => itype.execution_time(self.wf.task(task).base_time),
         }
-    }
-
-    /// Execution time of `task` on an instance of type `itype`.
-    #[must_use]
-    pub fn exec_time(&self, task: TaskId, itype: InstanceType) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.kernel_naive {
-            return naive::exec_time(self, task, itype);
-        }
-        self.exec_entry(task, itype)
     }
 
     /// Earliest time the inputs of `task` are available on a VM of type
@@ -642,10 +603,6 @@ impl<'a> ScheduleBuilder<'a> {
         itype: InstanceType,
         region: Region,
     ) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.kernel_naive {
-            return naive::ready_time(self, task, on_vm, itype, region);
-        }
         let mut ready: f64 = 0.0;
         for e in self.wf.predecessors(task) {
             let p = self.placements[e.from.index()]
@@ -731,57 +688,55 @@ impl<'a> ScheduleBuilder<'a> {
         let mut scratch = self.scratch.take();
         scratch.hosts.clear();
         scratch.edges.clear();
-        if !self.is_naive() {
-            // Epoch stamp instead of refilling `local_ready` with
-            // NEG_INFINITY per probe: a slot is live only when its
-            // stamp matches the current epoch, and a stale slot reads
-            // as NEG_INFINITY — `NEG_INFINITY.max(x) == x` exactly, so
-            // direct-set on first touch is bit-identical to the refill.
-            scratch.epoch += 1;
-            if scratch.local_epoch.len() < self.vms.len() {
-                scratch.local_epoch.resize(self.vms.len(), 0);
-                scratch
-                    .local_ready
-                    .resize(self.vms.len(), f64::NEG_INFINITY);
-                scratch.host_epoch.resize(self.vms.len(), 0);
-                scratch.host_slot.resize(self.vms.len(), 0);
-            }
-            let preds = self.wf.predecessors(task);
-            scratch.edges.reserve(preds.len());
-            for e in preds {
-                let p = self.placements[e.from.index()]
-                    .unwrap_or_else(|| panic!("predecessor {} of {task} not placed", e.from));
-                let i = p.vm.index();
-                let slot = if scratch.host_epoch[i] == scratch.epoch {
-                    scratch.host_slot[i] as usize
-                } else {
-                    let hv = &self.vms[i];
-                    scratch.hosts.push(HostPreds {
-                        vm: p.vm,
-                        region: hv.region,
-                        itype: hv.itype,
-                    });
-                    scratch.host_epoch[i] = scratch.epoch;
-                    scratch.host_slot[i] = (scratch.hosts.len() - 1) as u32;
-                    scratch.hosts.len() - 1
-                };
-                if scratch.local_epoch[i] == scratch.epoch {
-                    scratch.local_ready[i] = scratch.local_ready[i].max(p.finish);
-                } else {
-                    scratch.local_epoch[i] = scratch.epoch;
-                    scratch.local_ready[i] = p.finish;
-                }
-                scratch.edges.push(ProbeEdge {
-                    host: slot as u32,
-                    data_mb: e.data_mb,
-                    finish: p.finish,
+        // Epoch stamp instead of refilling `local_ready` with
+        // NEG_INFINITY per probe: a slot is live only when its
+        // stamp matches the current epoch, and a stale slot reads
+        // as NEG_INFINITY — `NEG_INFINITY.max(x) == x` exactly, so
+        // direct-set on first touch is bit-identical to the refill.
+        scratch.epoch += 1;
+        if scratch.local_epoch.len() < self.vms.len() {
+            scratch.local_epoch.resize(self.vms.len(), 0);
+            scratch
+                .local_ready
+                .resize(self.vms.len(), f64::NEG_INFINITY);
+            scratch.host_epoch.resize(self.vms.len(), 0);
+            scratch.host_slot.resize(self.vms.len(), 0);
+        }
+        let preds = self.wf.predecessors(task);
+        scratch.edges.reserve(preds.len());
+        for e in preds {
+            let p = self.placements[e.from.index()]
+                .unwrap_or_else(|| panic!("predecessor {} of {task} not placed", e.from));
+            let i = p.vm.index();
+            let slot = if scratch.host_epoch[i] == scratch.epoch {
+                scratch.host_slot[i] as usize
+            } else {
+                let hv = &self.vms[i];
+                scratch.hosts.push(HostPreds {
+                    vm: p.vm,
+                    region: hv.region,
+                    itype: hv.itype,
                 });
+                scratch.host_epoch[i] = scratch.epoch;
+                scratch.host_slot[i] = (scratch.hosts.len() - 1) as u32;
+                scratch.hosts.len() - 1
+            };
+            if scratch.local_epoch[i] == scratch.epoch {
+                scratch.local_ready[i] = scratch.local_ready[i].max(p.finish);
+            } else {
+                scratch.local_epoch[i] = scratch.epoch;
+                scratch.local_ready[i] = p.finish;
             }
-            if scratch.arrivals.len() < scratch.hosts.len() {
-                scratch
-                    .arrivals
-                    .resize(scratch.hosts.len(), f64::NEG_INFINITY);
-            }
+            scratch.edges.push(ProbeEdge {
+                host: slot as u32,
+                data_mb: e.data_mb,
+                finish: p.finish,
+            });
+        }
+        if scratch.arrivals.len() < scratch.hosts.len() {
+            scratch
+                .arrivals
+                .resize(scratch.hosts.len(), f64::NEG_INFINITY);
         }
         if let (Some(c), Some(t0)) = (&self.counters, timed) {
             c.probe_latency.record(t0.elapsed().as_nanos() as u64);
@@ -807,26 +762,24 @@ impl<'a> ScheduleBuilder<'a> {
     #[must_use]
     pub fn probe_all(&self, task: TaskId) -> BatchProbe<'_, 'a> {
         let mut probe = self.probe(task);
-        if !self.is_naive() {
-            if probe.scratch.starts.len() < self.vms.len() {
-                probe.scratch.starts.resize(self.vms.len(), 0.0);
-            }
-            for i in 0..self.vms.len() {
-                let ki = self.vm_key[i] as usize;
-                let key = probe.key_ready_idx(ki);
-                let cross = if key.top_vm == VmId(i as u32) {
-                    key.second
-                } else {
-                    key.top
-                };
-                let local = if probe.scratch.local_epoch[i] == probe.scratch.epoch {
-                    probe.scratch.local_ready[i]
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let ready = cross.max(0.0).max(local);
-                probe.scratch.starts[i] = ready.max(self.vm_avail[i]);
-            }
+        if probe.scratch.starts.len() < self.vms.len() {
+            probe.scratch.starts.resize(self.vms.len(), 0.0);
+        }
+        for i in 0..self.vms.len() {
+            let ki = self.vm_key[i] as usize;
+            let key = probe.key_ready_idx(ki);
+            let cross = if key.top_vm == VmId(i as u32) {
+                key.second
+            } else {
+                key.top
+            };
+            let local = if probe.scratch.local_epoch[i] == probe.scratch.epoch {
+                probe.scratch.local_ready[i]
+            } else {
+                f64::NEG_INFINITY
+            };
+            let ready = cross.max(0.0).max(local);
+            probe.scratch.starts[i] = ready.max(self.vm_avail[i]);
         }
         BatchProbe { probe }
     }
@@ -874,7 +827,11 @@ impl<'a> ScheduleBuilder<'a> {
         // fleet: insertion strategies may fill any pre-start idle). With a
         // non-zero boot there is no usable time before the first task —
         // the machine is still booting — so the index opens at `start`.
-        let open = if self.platform.boot_time_s == 0.0 { 0.0 } else { start };
+        let open = if self.platform.boot_time_s == 0.0 {
+            0.0
+        } else {
+            start
+        };
         let mut gaps = VmGaps::new(open);
         gaps.note_append(start, finish);
         self.gaps.push(gaps);
@@ -978,8 +935,12 @@ impl<'a> ScheduleBuilder<'a> {
         // before a fresh rental could. As with fresh rentals, no usable
         // idle exists before the first task, so the gap index opens
         // where the task starts (at 0 under the paper's zero-boot
-        // setting, matching the naive scan's cursor).
-        let open = if self.platform.boot_time_s == 0.0 { 0.0 } else { start };
+        // setting, matching a full rescan's cursor).
+        let open = if self.platform.boot_time_s == 0.0 {
+            0.0
+        } else {
+            start
+        };
         let mut gaps = VmGaps::new(open);
         gaps.note_append(start, finish);
         self.gaps.push(gaps);
@@ -1011,13 +972,9 @@ impl<'a> ScheduleBuilder<'a> {
     /// just the tail. This is classic HEFT's insertion policy.
     #[must_use]
     pub fn insertion_start_on(&self, task: TaskId, vm: VmId) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.kernel_naive {
-            return naive::insertion_start_on(self, task, vm);
-        }
         let v = &self.vms[vm.index()];
         let ready = self.ready_time(task, Some(vm), v.itype, v.region);
-        let duration = self.exec_entry(task, v.itype);
+        let duration = self.exec_time(task, v.itype);
         self.gaps[vm.index()].earliest_fit(ready, duration)
     }
 
@@ -1105,20 +1062,6 @@ impl<'a> ScheduleBuilder<'a> {
         };
     }
 
-    /// Whether this builder routes probes through the naive reference
-    /// kernel.
-    #[inline]
-    fn is_naive(&self) -> bool {
-        #[cfg(any(test, feature = "naive"))]
-        {
-            self.kernel_naive
-        }
-        #[cfg(not(any(test, feature = "naive")))]
-        {
-            false
-        }
-    }
-
     /// The existing VM with the largest accumulated execution time —
     /// the paper's "VM with the largest execution time" used by the
     /// StartPar policies and by sequential tasks under the AllPar
@@ -1126,10 +1069,6 @@ impl<'a> ScheduleBuilder<'a> {
     /// has been rented yet.
     #[must_use]
     pub fn busiest_vm(&self) -> Option<VmId> {
-        #[cfg(any(test, feature = "naive"))]
-        if self.kernel_naive {
-            return naive::busiest_vm(self);
-        }
         self.busiest.map(|(_, id)| id)
     }
 
@@ -1161,10 +1100,6 @@ impl<'a> ScheduleBuilder<'a> {
         task: TaskId,
         mut keep: impl FnMut(&Vm) -> bool,
     ) -> Option<VmId> {
-        #[cfg(any(test, feature = "naive"))]
-        if self.kernel_naive {
-            return naive::earliest_start_vm_where(self, task, keep);
-        }
         // One probe, then a single fused pass: each kept VM's start time
         // is computed inline (the same per-key lazy ready reduction
         // `probe_all` performs, producing the same bits) and folded into
@@ -1336,7 +1271,7 @@ impl TaskProbe<'_, '_> {
         }
         for e in edges.iter() {
             let h = &hosts[e.host as usize];
-            // Same operation order as the naive path: the transfer
+            // Same operation order as the reference: the transfer
             // (bandwidth share + latency) is summed first, then added
             // to the predecessor finish. `f64::max` is exact, so the
             // per-host max is order-independent.
@@ -1380,11 +1315,6 @@ impl TaskProbe<'_, '_> {
     /// Ready time of the task on candidate VM `vm` (intra-VM edges cost
     /// zero). Equals `ScheduleBuilder::ready_time(task, Some(vm), ..)`.
     pub fn ready_on(&mut self, vm: VmId) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.sb.kernel_naive {
-            let v = &self.sb.vms[vm.index()];
-            return naive::ready_time(self.sb, self.task, Some(vm), v.itype, v.region);
-        }
         let ki = self.sb.vm_key[vm.index()] as usize;
         let key = self.key_ready_idx(ki);
         let cross = if key.top_vm == vm {
@@ -1400,20 +1330,11 @@ impl TaskProbe<'_, '_> {
     /// Ready time on a *new* VM of `itype` in `region` (every transfer
     /// is paid). Equals `ScheduleBuilder::ready_time(task, None, ..)`.
     pub fn ready_fresh(&mut self, itype: InstanceType, region: Region) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.sb.kernel_naive {
-            return naive::ready_time(self.sb, self.task, None, itype, region);
-        }
         self.key_ready(region, itype).top.max(0.0)
     }
 
     /// Start time the task would get on `vm` (append policy).
     pub fn start_on(&mut self, vm: VmId) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.sb.kernel_naive {
-            let available = self.sb.vms[vm.index()].available_at();
-            return self.ready_on(vm).max(available);
-        }
         let available = self.sb.vm_avail[vm.index()];
         self.ready_on(vm).max(available)
     }
@@ -1426,13 +1347,9 @@ impl TaskProbe<'_, '_> {
 
     /// Earliest start on `vm` under the insertion policy.
     pub fn insertion_start_on(&mut self, vm: VmId) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.sb.kernel_naive {
-            return naive::insertion_start_on(self.sb, self.task, vm);
-        }
         let ready = self.ready_on(vm);
         let v = &self.sb.vms[vm.index()];
-        let duration = self.sb.exec_entry(self.task, v.itype);
+        let duration = self.sb.exec_time(self.task, v.itype);
         self.sb.gaps[vm.index()].earliest_fit(ready, duration)
     }
 
@@ -1458,10 +1375,6 @@ impl BatchProbe<'_, '_> {
     /// Start time the task would get on `vm` (append policy). Equals
     /// `TaskProbe::start_on(vm)`.
     pub fn start_of(&mut self, vm: VmId) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.probe.sb.kernel_naive {
-            return self.probe.start_on(vm);
-        }
         self.probe.scratch.starts[vm.index()]
     }
 
@@ -1484,124 +1397,6 @@ impl BatchProbe<'_, '_> {
     /// Finish time on `vm` under the insertion policy.
     pub fn insertion_finish_of(&mut self, vm: VmId) -> f64 {
         self.probe.insertion_finish_on(vm)
-    }
-}
-
-/// The original (pre-fast-path) probe implementations, kept as the
-/// reference kernel: the `fastpath_tests` property suite proves the fast
-/// path bit-identical to these, and `cws-bench` (via the `naive`
-/// feature) measures the speedup against them in the same process.
-///
-/// [`naive::set_reference_kernel`] switches a thread to the naive kernel;
-/// builders capture the switch at construction time.
-#[cfg(any(test, feature = "naive"))]
-pub mod naive {
-    use super::{ScheduleBuilder, TaskId, Vm, VmId};
-    use cws_platform::{InstanceType, Region};
-    use std::cell::Cell;
-
-    thread_local! {
-        static REFERENCE_KERNEL: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Route all probes of builders constructed *after* this call (on
-    /// this thread) through the naive reference kernel.
-    pub fn set_reference_kernel(on: bool) {
-        REFERENCE_KERNEL.with(|c| c.set(on));
-    }
-
-    /// Whether the reference kernel is enabled on this thread.
-    #[must_use]
-    pub fn reference_kernel_enabled() -> bool {
-        REFERENCE_KERNEL.with(|c| c.get())
-    }
-
-    pub(super) fn exec_time(sb: &ScheduleBuilder<'_>, task: TaskId, itype: InstanceType) -> f64 {
-        itype.execution_time(sb.wf.task(task).base_time)
-    }
-
-    pub(super) fn ready_time(
-        sb: &ScheduleBuilder<'_>,
-        task: TaskId,
-        on_vm: Option<VmId>,
-        itype: InstanceType,
-        region: Region,
-    ) -> f64 {
-        let mut ready: f64 = 0.0;
-        for e in sb.wf.predecessors(task) {
-            let p = sb.placements[e.from.index()]
-                .unwrap_or_else(|| panic!("predecessor {} of {task} not placed", e.from));
-            let from_vm = &sb.vms[p.vm.index()];
-            let transfer = if Some(p.vm) == on_vm {
-                0.0
-            } else {
-                sb.platform.transfer_time_between(
-                    e.data_mb,
-                    (from_vm.region, from_vm.itype),
-                    (region, itype),
-                )
-            };
-            ready = ready.max(p.finish + transfer);
-        }
-        ready
-    }
-
-    pub(super) fn start_time_on(sb: &ScheduleBuilder<'_>, task: TaskId, vm: VmId) -> f64 {
-        let v = &sb.vms[vm.index()];
-        ready_time(sb, task, Some(vm), v.itype, v.region).max(v.available_at())
-    }
-
-    pub(super) fn insertion_start_on(sb: &ScheduleBuilder<'_>, task: TaskId, vm: VmId) -> f64 {
-        const EPS: f64 = 1e-9;
-        let v = &sb.vms[vm.index()];
-        let ready = ready_time(sb, task, Some(vm), v.itype, v.region);
-        let duration = exec_time(sb, task, v.itype);
-        // Candidate gaps: before the first task, between consecutive
-        // tasks, after the last (v.tasks is chronological). At boot 0
-        // the machine is usable from time 0 (pre-provisioned fleet);
-        // with a non-zero boot no usable idle exists before the first
-        // task, so the scan starts there — mirroring `VmGaps::new`.
-        let mut cursor = if sb.platform.boot_time_s == 0.0 {
-            0.0
-        } else {
-            v.tasks.first().map_or(0.0, |&(_, s, _)| s)
-        };
-        for &(_, s, e) in &v.tasks {
-            let start = cursor.max(ready);
-            if start + duration <= s + EPS {
-                return start;
-            }
-            cursor = cursor.max(e);
-        }
-        cursor.max(ready)
-    }
-
-    pub(super) fn busiest_vm(sb: &ScheduleBuilder<'_>) -> Option<VmId> {
-        sb.vms
-            .iter()
-            .max_by(|a, b| {
-                a.busy_seconds()
-                    .total_cmp(&b.busy_seconds())
-                    .then(b.id.0.cmp(&a.id.0))
-            })
-            .map(|v| v.id)
-    }
-
-    pub(super) fn earliest_start_vm_where(
-        sb: &ScheduleBuilder<'_>,
-        task: TaskId,
-        mut keep: impl FnMut(&Vm) -> bool,
-    ) -> Option<VmId> {
-        sb.vms
-            .iter()
-            .filter(|v| keep(v))
-            .map(|v| (v, start_time_on(sb, task, v.id)))
-            .min_by(|(a, sa), (b, sb_)| {
-                sa.total_cmp(sb_)
-                    .then(b.busy_seconds().total_cmp(&a.busy_seconds()))
-                    .then(a.id.0.cmp(&b.id.0))
-            })
-            .map(|(v, _)| v.id)
     }
 }
 
@@ -1755,9 +1550,7 @@ mod tests {
         assert_eq!(sb.unplaced_count(), 1);
     }
 
-    /// A diamond whose joins and transfers exercise every probe: the
-    /// fast-path answers must match the retained naive implementations
-    /// exactly, VM by VM.
+    /// A diamond whose joins and transfers exercise every probe.
     fn diamond() -> Workflow {
         let mut b = WorkflowBuilder::new("diamond");
         let a = b.task("a", 400.0);
@@ -1769,51 +1562,6 @@ mod tests {
         b.data_edge(x, z, 625.0);
         b.data_edge(y, z, 1250.0);
         b.build().unwrap()
-    }
-
-    #[test]
-    fn fast_probes_match_naive_reference() {
-        let wf = diamond();
-        let p = Platform::ec2_paper();
-        let mut sb = ScheduleBuilder::new(&wf, &p);
-        sb.place_on_new(TaskId(0), InstanceType::Small);
-        sb.place_on_new_in(TaskId(1), InstanceType::Large, Region::EuDublin);
-        sb.place_on_new(TaskId(2), InstanceType::Medium);
-        let task = TaskId(3);
-        for v in 0..3 {
-            let vm = VmId(v);
-            let vt = sb.vm(vm).itype;
-            let vr = sb.vm(vm).region;
-            assert_eq!(
-                sb.ready_time(task, Some(vm), vt, vr),
-                naive::ready_time(&sb, task, Some(vm), vt, vr),
-                "ready on {vm}"
-            );
-            assert_eq!(
-                sb.start_time_on(task, vm),
-                naive::start_time_on(&sb, task, vm),
-                "start on {vm}"
-            );
-            assert_eq!(
-                sb.insertion_start_on(task, vm),
-                naive::insertion_start_on(&sb, task, vm),
-                "insertion on {vm}"
-            );
-        }
-        for it in InstanceType::ALL {
-            for r in Region::ALL {
-                assert_eq!(
-                    sb.ready_time(task, None, it, r),
-                    naive::ready_time(&sb, task, None, it, r),
-                    "fresh ready for {it:?} in {r:?}"
-                );
-            }
-        }
-        assert_eq!(sb.busiest_vm(), naive::busiest_vm(&sb));
-        assert_eq!(
-            sb.earliest_start_vm_where(task, |_| true),
-            naive::earliest_start_vm_where(&sb, task, |_| true)
-        );
     }
 
     #[test]
@@ -1843,56 +1591,5 @@ mod tests {
             assert_eq!(c.start, sb.start_time_on(task, c.vm));
             assert_eq!(c.finish, sb.finish_time_on(task, c.vm));
         }
-    }
-
-    #[test]
-    fn gap_index_tracks_insertions() {
-        // Build one VM with a gap, fill it with the insertion policy and
-        // verify subsequent insertion probes match the naive rescan.
-        let mut b = WorkflowBuilder::new("gaps");
-        let a = b.task("a", 100.0);
-        let c = b.task("c", 200.0);
-        let d = b.task("d", 50.0);
-        let e = b.task("e", 40.0);
-        b.data_edge(a, c, 12500.0); // 100 s transfer if cross-VM
-        let _ = (d, e);
-        let wf = b.build().unwrap();
-        let p = Platform::ec2_paper();
-        let mut sb = ScheduleBuilder::new(&wf, &p);
-        let v0 = sb.place_on_new(TaskId(0), InstanceType::Small); // [0, 100]
-        sb.place_on_new(TaskId(1), InstanceType::Small);
-        // c lands on its own VM after the transfer; v0 idles from 100.
-        sb.place_on(TaskId(1 + 2), VmId(0)); // d appends at 100 on v0
-        let _ = v0;
-        // e fits nowhere special; probe both VMs against naive.
-        for vm in [VmId(0), VmId(1)] {
-            assert_eq!(
-                sb.insertion_start_on(TaskId(3), vm),
-                naive::insertion_start_on(&sb, TaskId(3), vm)
-            );
-        }
-    }
-
-    #[test]
-    fn reference_kernel_switch_produces_identical_schedules() {
-        let wf = diamond();
-        let p = Platform::ec2_paper();
-        let run = || {
-            let mut sb = ScheduleBuilder::new(&wf, &p);
-            sb.place_on_new(TaskId(0), InstanceType::Small);
-            let vm = sb
-                .earliest_start_vm_where(TaskId(1), |_| true)
-                .expect("one VM");
-            sb.place_on(TaskId(1), vm);
-            sb.place_on_new(TaskId(2), InstanceType::Medium);
-            let vm = sb.busiest_vm().expect("vms exist");
-            sb.place_on_inserted(TaskId(3), vm);
-            sb.build("probe")
-        };
-        let fast = run();
-        naive::set_reference_kernel(true);
-        let reference = run();
-        naive::set_reference_kernel(false);
-        assert_eq!(fast, reference);
     }
 }

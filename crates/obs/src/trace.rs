@@ -6,9 +6,8 @@
 //! inside a caller-supplied closure that never runs in that case.
 //! Long-lived emitters (e.g. `cws-core`'s `ScheduleBuilder`) go one
 //! step further and capture [`trace_enabled`] / [`metrics_enabled`]
-//! into a plain `bool` at construction — the same pattern the builder
-//! already uses for its naive-kernel switch — so their per-probe cost
-//! while disabled is a predictable branch on a local.
+//! into a plain `bool` at construction, so their per-probe cost while
+//! disabled is a predictable branch on a local.
 
 use crate::event::TraceEvent;
 use crate::sink::TraceSink;

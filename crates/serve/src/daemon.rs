@@ -359,15 +359,42 @@ impl Daemon {
     }
 }
 
+/// Longest request line the daemon buffers, not counting its newline.
+/// A submission carries its whole workflow inline, and the 10⁴-task
+/// interchange document is ~54 MB, so the cap sits above that; without
+/// a cap a client that never sends a newline grows the daemon's memory
+/// without limit. An over-long line gets an error reply and ends its
+/// connection.
+pub const MAX_LINE: u64 = 64 << 20;
+
 /// Serve one connection line by line; `Ok(true)` after a shutdown.
 fn serve_connection<S: Read + Write>(stream: S, core: &mut ServeCore) -> std::io::Result<bool> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        buf.clear();
+        let n = reader
+            .by_ref()
+            .take(MAX_LINE + 1)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
             return Ok(false); // client hung up
         }
+        if n as u64 > MAX_LINE && buf.last() != Some(&b'\n') {
+            let reply = format!(
+                "{{\"ok\":false,\"error\":{}}}\n",
+                json_str(&format!("request line exceeds {MAX_LINE} bytes"))
+            );
+            let out = reader.get_mut();
+            out.write_all(reply.as_bytes())?;
+            out.flush()?;
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "request line too long",
+            ));
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }

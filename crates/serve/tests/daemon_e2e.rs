@@ -163,3 +163,46 @@ fn non_utf8_client_does_not_kill_the_daemon() {
 fn client_closing_before_its_replies_does_not_kill_the_daemon() {
     survives("pipe", "{\"cmd\":\"report\"}\n".repeat(50).as_bytes());
 }
+
+#[cfg(unix)]
+#[test]
+fn over_long_line_is_refused_and_only_its_connection_dropped() {
+    use cws_serve::daemon::MAX_LINE;
+    use std::os::unix::net::UnixStream;
+    let path = std::env::temp_dir().join(format!("cws-serve-e2e-long-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let daemon = Daemon::bind(path.to_str().expect("utf8 temp path")).expect("bind unix socket");
+    let platform = Platform::ec2_paper();
+    let server = thread::spawn(move || {
+        let mut core = ServeCore::new(&platform, ServeOptions::default());
+        daemon.run(&mut core)
+    });
+
+    // One byte past the cap, and no newline anywhere.
+    let mut long = UnixStream::connect(&path).expect("connect");
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_LINE + 1;
+    while left > 0 {
+        let n = left.min(chunk.len() as u64) as usize;
+        long.write_all(&chunk[..n]).expect("send");
+        left -= n as u64;
+    }
+    let mut reply = String::new();
+    BufReader::new(&long)
+        .read_line(&mut reply)
+        .expect("read reply");
+    let v = parse(reply.trim()).unwrap_or_else(|e| panic!("reply not JSON ({e}): {reply:?}"));
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{reply}");
+    assert!(v.get("error").and_then(Value::as_str).is_some(), "{reply}");
+    drop(long);
+
+    let stream = UnixStream::connect(&path).expect("daemon still accepts");
+    let mut conn = BufReader::new(stream);
+    let last = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
+    assert!(ok(&last), "{last:?}");
+    server
+        .join()
+        .expect("daemon thread")
+        .expect("an over-long line must not end the daemon");
+    let _ = std::fs::remove_file(&path);
+}
