@@ -1,7 +1,8 @@
 //! `cws-bench` — fixed-workload perf baseline for the scheduling kernel.
 //!
-//! Runs the four paper workflows (Montage, CSTEM, MapReduce, Sequential)
-//! plus 1000-task and 10000-task random layered DAGs through all 19
+//! Runs the four paper workflows (Montage, CSTEM, MapReduce, Sequential),
+//! 1000-task and 10000-task random layered DAGs and an 8004-task
+//! CyberShake (two 4000-wide levels, the AllPar worst case) through all 19
 //! paper pairings on the scheduling kernel (shared exec/transfer
 //! tables, pooled probe scratch, batched probes + per-VM gap index, see
 //! `cws_core::state`) and writes wall-clock seconds and schedules/sec
@@ -40,23 +41,25 @@ use cws_core::{KernelTables, Strategy};
 use cws_dag::Workflow;
 use cws_platform::Platform;
 use cws_workloads::random::{layered_dag, LayeredShape};
-use cws_workloads::{paper_workflows, DataSizeModel, Scenario};
+use cws_workloads::{cybershake, paper_workflows, CyberShakeShape, DataSizeModel, Scenario};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// Per-workload makespan checksums (`f64::to_bits` of the left-to-right
 /// sum of the 19 paper pairings' makespans, in `Strategy::paper_set`
-/// order, one schedule each over shared tables). Recorded when the
-/// reference kernel still shipped beside the fast one and both produced
-/// these exact bits.
-const PINNED_CHECKSUMS: [(&str, u64); 6] = [
+/// order, one schedule each over shared tables). The first six were
+/// recorded when the reference kernel still shipped beside the fast one
+/// and both produced these exact bits; `cybershake-4000` was recorded
+/// with the full-scan earliest-start pick, before it was pruned.
+const PINNED_CHECKSUMS: [(&str, u64); 7] = [
     ("montage-24", 0x4101_4d76_08cf_974d),
     ("cstem", 0x4100_820f_fbdd_25e8),
     ("mapreduce-8x8x4", 0x40f4_aa69_48e9_1174),
     ("sequential-20", 0x4107_d823_1738_9690),
     ("layered-10x100", 0x4145_19d5_4ca9_75ce),
     ("layered-20x500", 0x4175_9b44_4208_b9f7),
+    ("cybershake-4000", 0x4170_dc7a_11ae_a125),
 ];
 
 struct WorkloadReport {
@@ -249,9 +252,9 @@ fn main() {
     let strategies = Strategy::paper_set();
     let scenario = Scenario::Pareto { seed: 42 };
 
-    // (workflow, reps): the 10k-task DAG always runs at 1 rep — one
-    // rep is plenty of signal at that size — so full-mode runtime stays
-    // bounded. The paper workflows sit at the other extreme: a
+    // (workflow, reps): the 10k-task DAG and CyberShake always run at
+    // 1 rep — one rep is plenty of signal at that size — so full-mode
+    // runtime stays bounded. The paper workflows sit at the other extreme: a
     // 19-pairing sweep over ~24 tasks takes well under a millisecond,
     // where timer noise dominates, so they run 200x more reps to push
     // each timed window past ~10ms.
@@ -283,10 +286,14 @@ fn main() {
         })),
         1,
     ));
+    workloads.push((
+        scenario.apply(&cybershake(CyberShakeShape { synthesis: 4000 })),
+        1,
+    ));
 
     let mut reports = Vec::new();
     for (wf, wf_reps) in &workloads {
-        // All but the 10k-task DAG take the min over three sweeps:
+        // All but the two largest DAGs take the min over three sweeps:
         // their windows are short enough that one scheduler hiccup can
         // fake a ±10% swing, and the minimum is the standard
         // least-interference estimate.

@@ -438,6 +438,10 @@ pub struct ScheduleBuilder<'a> {
     /// Struct-of-arrays mirror of `vms`: each VM's `(region, itype)`
     /// candidate key as a [`key_idx`] code, for the batched probe pass.
     vm_key: Vec<u16>,
+    /// The inverse of `vm_key`: per [`key_idx`] code, the ids of the
+    /// VMs with that `(region, itype)`, ascending. Lets
+    /// [`Self::earliest_start_vm_where`] bound a whole key at once.
+    key_vms: [Vec<VmId>; N_KEYS],
     /// Per-VM idle-window index, in lock-step with `vms`.
     gaps: Vec<VmGaps>,
     /// Pooled probe workspace (see [`ProbeScratch`]).
@@ -536,6 +540,7 @@ impl<'a> ScheduleBuilder<'a> {
             bw,
             vm_avail: Vec::new(),
             vm_key: Vec::new(),
+            key_vms: std::array::from_fn(|_| Vec::new()),
             gaps: Vec::new(),
             scratch: ScratchCell::new(),
             busiest: None,
@@ -822,6 +827,7 @@ impl<'a> ScheduleBuilder<'a> {
         self.vms.push(vm);
         self.vm_avail.push(self.vms[id.index()].available_at());
         self.vm_key.push(key_idx(region, itype) as u16);
+        self.key_vms[key_idx(region, itype)].push(id);
         self.origins.push(None);
         // At boot 0 the gap index opens at 0 (the paper's pre-provisioned
         // fleet: insertion strategies may fill any pre-start idle). With a
@@ -930,6 +936,7 @@ impl<'a> ScheduleBuilder<'a> {
         self.vms.push(vm);
         self.vm_avail.push(self.vms[id.index()].available_at());
         self.vm_key.push(key_idx(region, itype) as u16);
+        self.key_vms[key_idx(region, itype)].push(id);
         self.origins.push(Some(slot));
         // A claimed slot is already booted, so its first task may start
         // before a fresh rental could. As with fresh rentals, no usable
@@ -1100,46 +1107,69 @@ impl<'a> ScheduleBuilder<'a> {
         task: TaskId,
         mut keep: impl FnMut(&Vm) -> bool,
     ) -> Option<VmId> {
-        // One probe, then a single fused pass: each kept VM's start time
-        // is computed inline (the same per-key lazy ready reduction
-        // `probe_all` performs, producing the same bits) and folded into
-        // the running min immediately — no intermediate `starts` lane,
-        // no second scan. The comparator is the sequential `min_by`'s —
-        // earliest start, then largest busy time, then smallest id; ids
-        // are unique so the order is total and first-vs-last min never
-        // matters.
+        // Two passes over one probe, exact against a scan of every VM.
+        // Only a predecessor host can have a local-ready time or be a
+        // key's top-2 exclusion, so the hosts are scored first. Every
+        // other VM of key k starts at exactly `floor_k.max(avail)` with
+        // `floor_k = max(top_k, 0)` — the same bits the per-VM formula
+        // yields when its local term is NEG_INFINITY — so a key whose
+        // floor already exceeds the best start holds no winner and is
+        // skipped whole. The comparator (earliest start, then largest
+        // busy time, then smallest id) is a total order, so the visiting
+        // order never changes the pick.
         let mut probe = self.probe(task);
         let mut best: Option<(VmId, f64, f64)> = None;
-        for v in &self.vms {
-            if !keep(v) {
+        let offer = |best: &mut Option<(VmId, f64, f64)>, v: &Vm, start: f64| {
+            let busy = v.busy_seconds();
+            let wins = best.is_none_or(|(bid, bs, bb)| {
+                start
+                    .total_cmp(&bs)
+                    .then(bb.total_cmp(&busy))
+                    .then(v.id.0.cmp(&bid.0))
+                    .is_lt()
+            });
+            if wins {
+                *best = Some((v.id, start, busy));
+            }
+        };
+        for h in 0..probe.scratch.hosts.len() {
+            let v = &self.vms[probe.scratch.hosts[h].vm.index()];
+            if keep(v) {
+                let start = probe.start_on(v.id);
+                offer(&mut best, v, start);
+            }
+        }
+        for (ki, ids) in self.key_vms.iter().enumerate() {
+            if ids.is_empty() {
                 continue;
             }
-            let i = v.id.index();
-            let key = probe.key_ready_idx(self.vm_key[i] as usize);
-            let cross = if key.top_vm == v.id {
-                key.second
-            } else {
-                key.top
-            };
-            let local = if probe.scratch.local_epoch[i] == probe.scratch.epoch {
-                probe.scratch.local_ready[i]
-            } else {
-                f64::NEG_INFINITY
-            };
-            let start = cross.max(0.0).max(local).max(self.vm_avail[i]);
-            let busy = v.busy_seconds();
-            best = match best {
-                Some((bid, bs, bb))
-                    if start
-                        .total_cmp(&bs)
-                        .then(bb.total_cmp(&busy))
-                        .then(v.id.0.cmp(&bid.0))
-                        != std::cmp::Ordering::Less =>
-                {
-                    Some((bid, bs, bb))
+            // `kernel.key_ready_builds` counts a key only when a kept VM
+            // of it is probed, as the full scan does: the floor is built
+            // uncounted and the count is settled once the key is done.
+            let counted = probe.keys[ki].is_some();
+            let floor = probe.key_uncounted(ki).top.max(0.0);
+            let scratch = &probe.scratch;
+            let is_host = |id: VmId| scratch.host_epoch[id.index()] == scratch.epoch;
+            let mut kept_any = false;
+            if best.is_some_and(|(_, bs, _)| floor > bs) {
+                if !counted && self.counters.is_some() {
+                    kept_any = ids
+                        .iter()
+                        .any(|&id| !is_host(id) && keep(&self.vms[id.index()]));
                 }
-                _ => Some((v.id, start, busy)),
-            };
+            } else {
+                for &id in ids {
+                    let v = &self.vms[id.index()];
+                    if is_host(id) || !keep(v) {
+                        continue;
+                    }
+                    kept_any = true;
+                    offer(&mut best, v, floor.max(self.vm_avail[id.index()]));
+                }
+            }
+            if kept_any && !counted {
+                probe.count_key_build();
+            }
         }
         best.map(|(id, _, _)| id)
     }
@@ -1250,15 +1280,28 @@ impl TaskProbe<'_, '_> {
     /// [`Self::key_ready`] addressed by pre-encoded [`key_idx`] code
     /// (the form the batched pass reads straight off `vm_key`).
     fn key_ready_idx(&mut self, ki: usize) -> KeyReady {
+        if self.keys[ki].is_none() {
+            self.count_key_build();
+        }
+        self.key_uncounted(ki)
+    }
+
+    /// Bump `kernel.key_ready_builds` (when metrics are on).
+    fn count_key_build(&self) {
+        if let Some(c) = &self.sb.counters {
+            c.key_builds.inc();
+        }
+    }
+
+    /// [`Self::key_ready_idx`] without the build count, for a caller
+    /// that settles the count itself.
+    fn key_uncounted(&mut self, ki: usize) -> KeyReady {
         if let Some(k) = self.keys[ki] {
             return k;
         }
         let region = Region::ALL[ki / N_TYPES];
         let itype = InstanceType::ALL[ki % N_TYPES];
         let sb = self.sb;
-        if let Some(c) = &sb.counters {
-            c.key_builds.inc();
-        }
         let ProbeScratch {
             hosts,
             edges,

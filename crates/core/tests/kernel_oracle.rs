@@ -17,6 +17,11 @@
 //!   agreement at every visited state means a reference run would have
 //!   made the same decisions. The replayed schedule must also equal the
 //!   fast one.
+//! * **Pick audit.** On wide, level-parallel inputs the full audit is
+//!   too slow, so each step checks only `earliest_start_vm_where` for the
+//!   task about to be placed, under the AllPar level filters, and that
+//!   each call counts exactly the `kernel.key_ready_builds` a scan of
+//!   every VM would.
 //! * **Type loops.** The CPA-Eager and GAIN upgrade loops are compared
 //!   directly with transcriptions over `critical_path`,
 //!   `one_vm_per_task_cost` and `gain_matrix`.
@@ -29,12 +34,15 @@ use cws_core::alloc::cpa::{
 use cws_core::alloc::gain::{gain_matrix, gain_types, gain_types_with};
 use cws_core::alloc::{heft_insertion, heft_pool, list_schedule, ListRule, PoolSpec};
 use cws_core::state::Candidate;
-use cws_core::{KernelTables, Schedule, ScheduleBuilder, Strategy, Vm, VmId};
+use cws_core::{
+    pooled_static, KernelTables, Schedule, ScheduleBuilder, StaticAlloc, Strategy, Vm, VmId, WarmVm,
+};
 use cws_dag::{TaskId, Workflow, WorkflowBuilder};
-use cws_obs::{PlacementKind, RingSink, TraceEvent};
+use cws_obs::metrics::names::KERNEL_KEY_BUILDS;
+use cws_obs::{MetricsRegistry, PlacementKind, RingSink, TraceEvent};
 use cws_platform::{InstanceType, Platform, Region};
 use cws_workloads::random::{fork_join, layered_dag, ForkJoinShape, LayeredShape};
-use cws_workloads::Scenario;
+use cws_workloads::{cybershake, CyberShakeShape, Scenario};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -237,6 +245,9 @@ fn ready_tasks(sb: &ScheduleBuilder<'_>) -> Vec<TaskId> {
 /// A VM filter as `earliest_start_vm_where` takes it.
 type VmFilter<'a> = &'a dyn Fn(&Vm) -> bool;
 
+/// A named, owned [`VmFilter`].
+type NamedFilter<'a> = (String, Box<dyn Fn(&Vm) -> bool + 'a>);
+
 /// Compare every probe answer of the builder's current state with the
 /// reference.
 fn audit(sb: &ScheduleBuilder<'_>, ctx: &str) {
@@ -364,12 +375,12 @@ impl Drop for SinkGuard {
 }
 
 /// Run `run` on the fast kernel with a ring sink installed; return its
-/// schedule and every event it emitted.
-fn traced(run: impl FnOnce() -> Schedule) -> (Schedule, Vec<TraceEvent>) {
+/// result and every event it emitted.
+fn traced<T>(run: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
     let ring = Arc::new(RingSink::new(1 << 22));
     cws_obs::install_sink(ring.clone());
     let guard = SinkGuard;
-    let schedule = run();
+    let out = run();
     drop(guard);
     let events = ring.events();
     assert_eq!(
@@ -377,20 +388,22 @@ fn traced(run: impl FnOnce() -> Schedule) -> (Schedule, Vec<TraceEvent>) {
         ring.recorded(),
         "trace ring overflowed"
     );
-    (schedule, events)
+    (out, events)
 }
 
-/// Replay `events` into a fresh builder over `tables`, auditing every
-/// visited state, and require the replay to rebuild `fast` exactly.
-fn replay_audit(
-    wf: &Workflow,
-    platform: &Platform,
-    tables: Option<&KernelTables>,
+/// Replay `events` into `sb`, calling `check` with the task about to be
+/// placed at every visited state, and require the replay to rebuild
+/// `fast` exactly. A warm claim resolves through `origins`, the slot each
+/// VM of `fast` was claimed from.
+fn replay(
+    mut sb: ScheduleBuilder<'_>,
+    origins: &[Option<usize>],
     label: &str,
     fast: &Schedule,
     events: &[TraceEvent],
+    mut check: impl FnMut(&ScheduleBuilder<'_>, TaskId, &str),
 ) {
-    let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let wf = sb.workflow();
     let mut leases: Vec<(InstanceType, Region)> = Vec::new();
     let mut steps = 0;
     for event in events {
@@ -411,11 +424,12 @@ fn replay_audit(
                 finish,
                 kind,
             } => {
-                audit(
+                let (task, vm) = (TaskId(task), VmId(vm));
+                check(
                     &sb,
+                    task,
                     &format!("{label} on {} before step {steps}", wf.name()),
                 );
-                let (task, vm) = (TaskId(task), VmId(vm));
                 match kind {
                     PlacementKind::NewVm => {
                         let (itype, region) = leases[vm.index()];
@@ -423,7 +437,14 @@ fn replay_audit(
                     }
                     PlacementKind::Append => sb.place_on(task, vm),
                     PlacementKind::Insert => sb.place_on_inserted(task, vm),
-                    PlacementKind::WarmClaim => panic!("{label}: unexpected warm claim"),
+                    PlacementKind::WarmClaim => {
+                        let slot = origins
+                            .get(vm.index())
+                            .copied()
+                            .flatten()
+                            .unwrap_or_else(|| panic!("{label}: {vm} claimed from no slot"));
+                        assert_eq!(sb.claim_warm(task, slot), vm);
+                    }
                 }
                 let placed = sb.placement(task).expect("just placed");
                 assert!(
@@ -444,8 +465,126 @@ fn replay_audit(
         "{label}: replay diverged from the fast schedule on {}",
         wf.name()
     );
+}
+
+/// Replay `events` into a fresh builder over `tables`, auditing every
+/// visited state, and require the replay to rebuild `fast` exactly.
+fn replay_audit(
+    wf: &Workflow,
+    platform: &Platform,
+    tables: Option<&KernelTables>,
+    label: &str,
+    fast: &Schedule,
+    events: &[TraceEvent],
+) {
+    let sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    replay(sb, &[], label, fast, events, |sb, _, ctx| audit(sb, ctx));
     fast.validate(wf, platform)
         .unwrap_or_else(|e| panic!("{label}: invalid schedule: {e}"));
+}
+
+/// Each task's level index (the AllPar policies' unit of parallelism).
+fn level_index(wf: &Workflow) -> Vec<usize> {
+    let mut level = vec![0; wf.len()];
+    for (i, tasks) in wf.levels().iter().enumerate() {
+        for t in tasks {
+            level[t.index()] = i;
+        }
+    }
+    level
+}
+
+/// The earliest-start pick for `task`, under the filters the AllPar
+/// policies, pooled AllPar and AllPar1LnS pass — VMs not yet used by
+/// the task's level, alone, with the BTU-fit test and per instance
+/// type — plus unfiltered and an id-parity filter. Each pick must equal
+/// the reference's, and with metrics on each call must count one key
+/// build per distinct `(region, itype)` among the kept VMs, as a scan
+/// of every VM does.
+fn audit_pick(sb: &ScheduleBuilder<'_>, task: TaskId, level: &[usize], ctx: &str) {
+    let used: Vec<bool> = sb
+        .vms()
+        .iter()
+        .map(|v| {
+            v.tasks
+                .iter()
+                .any(|&(t, _, _)| level[t.index()] == level[task.index()])
+        })
+        .collect();
+    let free = |v: &Vm| !used[v.id.index()];
+    let fits = |v: &Vm| v.fits_without_new_btu(reference::exec_time(sb, task, v.itype));
+    let mut keeps: Vec<NamedFilter<'_>> = vec![
+        ("all".into(), Box::new(|_| true)),
+        ("free".into(), Box::new(free)),
+        ("free and fitting".into(), Box::new(|v| free(v) && fits(v))),
+        ("odd id".into(), Box::new(|v| v.id.0 % 2 == 1)),
+    ];
+    for it in InstanceType::ALL {
+        keeps.push((
+            format!("free {it:?}"),
+            Box::new(move |v| free(v) && v.itype == it),
+        ));
+    }
+    let builds = MetricsRegistry::global().counter(KERNEL_KEY_BUILDS);
+    for (name, keep) in &keeps {
+        let before = builds.get();
+        let pick = sb.earliest_start_vm_where(task, |v| keep(v));
+        let counted = builds.get() - before;
+        assert_eq!(
+            pick,
+            reference::earliest_start_vm_where(sb, task, |v| keep(v)),
+            "{ctx}: earliest-start VM for {task} among {name}"
+        );
+        let mut keys: Vec<(Region, InstanceType)> = Vec::new();
+        for v in sb.vms().iter().filter(|v| keep(v)) {
+            if !keys.contains(&(v.region, v.itype)) {
+                keys.push((v.region, v.itype));
+            }
+        }
+        assert_eq!(
+            counted,
+            keys.len() as u64,
+            "{ctx}: key builds for {task} among {name}"
+        );
+    }
+}
+
+/// Turns metrics collection off on drop.
+struct MetricsGuard;
+
+impl Drop for MetricsGuard {
+    fn drop(&mut self) {
+        cws_obs::set_metrics_enabled(false);
+    }
+}
+
+/// Trace `run` (which schedules on `warm`, recording each VM's slot in
+/// the returned origins), then replay it on a metrics-counting builder
+/// over the same pool, auditing the pick at every step.
+fn assert_picks_agree(
+    wf: &Workflow,
+    platform: &Platform,
+    label: &str,
+    warm: &[WarmVm],
+    run: impl FnOnce() -> (Schedule, Vec<Option<usize>>),
+) {
+    let ((fast, origins), events) = traced(run);
+    let level = level_index(wf);
+    cws_obs::set_metrics_enabled(true);
+    let _metrics = MetricsGuard;
+    let sb = ScheduleBuilder::with_warm_pool(wf, platform, &warm);
+    replay(sb, &origins, label, &fast, &events, |sb, task, ctx| {
+        audit_pick(sb, task, &level, ctx);
+    });
+}
+
+/// All 19 paper pairings through the pick audit.
+fn assert_paper_set_picks_agree(wf: &Workflow, platform: &Platform) {
+    for strategy in Strategy::paper_set() {
+        assert_picks_agree(wf, platform, &strategy.label(), &[], || {
+            (strategy.schedule(wf, platform), Vec::new())
+        });
+    }
 }
 
 /// Trace `run` on the fast kernel and replay-audit it on a builder over
@@ -796,4 +935,150 @@ fn gap_index_tracks_insertions() {
         sb.place_on_inserted(TaskId(3), VmId(1));
         audit(&sb, "gaps after e");
     }
+}
+
+/// CyberShake's fan-out/fan-in at 300 tasks: two extractions, two
+/// 148-wide levels, two zips — the wide levels the pruned pick is for.
+#[test]
+fn cybershake_fan_in_picks_agree() {
+    let _serial = serial();
+    let wf = Scenario::Pareto { seed: 42 }.apply(&cybershake(CyberShakeShape { synthesis: 148 }));
+    assert_eq!(wf.len(), 300);
+    for p in [
+        Platform::ec2_paper(),
+        Platform::ec2_paper().with_boot_time(120.0),
+    ] {
+        assert_paper_set_picks_agree(&wf, &p);
+    }
+}
+
+/// `stages` forks of `width` tasks, each fork fed by one task and joined
+/// by the next, over zero-byte edges; runtimes vary so busy times differ.
+fn zero_byte_forks(width: usize, stages: usize) -> Workflow {
+    let mut b = WorkflowBuilder::new(format!("zero-byte-forks-{width}x{stages}"));
+    let mut head = b.task("head_0", 100.0);
+    for s in 0..stages {
+        let join = b.task(format!("head_{}", s + 1), 80.0);
+        for i in 0..width {
+            let t = b.task(format!("f{s}_{i}"), 50.0 + ((i * 37 + s * 11) % 211) as f64);
+            b.edge(head, t);
+            b.edge(t, join);
+        }
+        head = join;
+    }
+    b.build().unwrap()
+}
+
+/// Zero-byte edges cost only the path latency, so every instance type
+/// of a region shares one floor. Once the level's host is taken, the
+/// first key scanned sets the best start to that floor and the other
+/// keys of the region tie it: they must still be scanned.
+/// AllPar1LnSDyn mixes instance types.
+#[test]
+fn zero_byte_fork_ties_agree() {
+    let _serial = serial();
+    let wf = zero_byte_forks(24, 3);
+    for p in [
+        Platform::ec2_paper(),
+        Platform::ec2_paper().with_boot_time(120.0),
+    ] {
+        assert_paper_set_picks_agree(&wf, &p);
+    }
+}
+
+/// The tie across keys, driven by hand: a fork run on a fleet of every
+/// instance type in two regions, then an AllPar-style level whose picks
+/// must break floor ties by busy time across keys.
+#[test]
+fn mixed_fleet_ties_across_keys_agree() {
+    let _serial = serial();
+    let wf = zero_byte_forks(24, 2);
+    let p = Platform::ec2_paper();
+    let level = level_index(&wf);
+    cws_obs::set_metrics_enabled(true);
+    let _metrics = MetricsGuard;
+    let mut sb = ScheduleBuilder::new(&wf, &p);
+    let mut tasks = wf.topological_order().iter().copied();
+    let head = tasks.next().expect("non-empty");
+    sb.place_on_new(head, InstanceType::Small);
+    for (i, task) in tasks.enumerate() {
+        let ctx = format!("mixed fleet before {task}");
+        audit_pick(&sb, task, &level, &ctx);
+        if level[task.index()] == 1 {
+            let region = if i % 5 == 4 {
+                Region::EuDublin
+            } else {
+                p.default_region
+            };
+            sb.place_on_new_in(task, InstanceType::ALL[i % 4], region);
+            continue;
+        }
+        let same_level = |v: &Vm| {
+            v.tasks
+                .iter()
+                .any(|&(t, _, _)| level[t.index()] == level[task.index()])
+        };
+        match sb.earliest_start_vm_where(task, |v| !same_level(v)) {
+            Some(vm) => sb.place_on(task, vm),
+            None => {
+                sb.place_on_new(task, InstanceType::Small);
+            }
+        }
+    }
+    assert_eq!(sb.unplaced_count(), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// AllPar1LnS filters by instance type, leaving whole keys without a
+    /// kept VM; AllPar1LnSDyn rents mixed types level by level.
+    #[test]
+    fn one_lns_mixed_fleets_agree(wf in arb_layered()) {
+        let _serial = serial();
+        for p in [Platform::ec2_paper(), Platform::ec2_paper().with_boot_time(120.0)] {
+            for strategy in [Strategy::AllPar1LnS, Strategy::AllPar1LnSDyn] {
+                assert_picks_agree(&wf, &p, &strategy.label(), &[], || {
+                    (strategy.schedule(&wf, &p), Vec::new())
+                });
+            }
+        }
+    }
+}
+
+/// Pooled AllPar claiming warm slots in two regions: claimed slots join
+/// the per-key VM lists like fresh rentals do.
+#[test]
+fn pooled_allpar_over_two_region_warm_slots_agrees() {
+    let _serial = serial();
+    let wf = Scenario::Pareto { seed: 7 }.apply(&cybershake(CyberShakeShape { synthesis: 40 }));
+    let p = Platform::ec2_paper().with_boot_time(120.0);
+    let warm: Vec<WarmVm> = (0..48)
+        .map(|i| WarmVm {
+            itype: [InstanceType::Small, InstanceType::Medium][i % 2],
+            region: if i % 3 == 0 {
+                Region::EuDublin
+            } else {
+                p.default_region
+            },
+            available_rel: ((i * 97) % 1500) as f64,
+            btu_elapsed: ((i * 613) % 3600) as f64,
+        })
+        .collect();
+    let mut claimed_regions: Vec<Region> = Vec::new();
+    for alloc in [StaticAlloc::AllParExceed, StaticAlloc::AllParNotExceed] {
+        for itype in [InstanceType::Small, InstanceType::Medium] {
+            let label = format!("pooled {alloc:?}-{itype:?}");
+            assert_picks_agree(&wf, &p, &label, &warm, || {
+                let pooled = pooled_static(&wf, &p, alloc, itype, &warm);
+                for slot in pooled.origins.iter().flatten() {
+                    if !claimed_regions.contains(&warm[*slot].region) {
+                        claimed_regions.push(warm[*slot].region);
+                    }
+                }
+                (pooled.schedule, pooled.origins)
+            });
+        }
+    }
+    assert_eq!(claimed_regions.len(), 2, "claims in both regions");
 }

@@ -261,7 +261,11 @@ mod tests {
         for r in &rows {
             assert_eq!(r.evictions, 0, "{}", r.label);
             assert_eq!(r.completion_rate, 1.0, "{}", r.label);
-            assert!((r.realized_makespan - r.on_demand_makespan).abs() < 1e-6, "{}", r.label);
+            assert!(
+                (r.realized_makespan - r.on_demand_makespan).abs() < 1e-6,
+                "{}",
+                r.label
+            );
             // Realized = expected = the discounted rental bill; both
             // may sit below `on_demand_cost`, which adds transfer fees.
             assert!(

@@ -161,12 +161,29 @@ pub fn run_campaign(platform: &Platform, spec: &CampaignSpec, threads: usize) ->
     })
     .expect("no worker panicked");
 
+    let cells: Vec<CampaignCell> = results
+        .into_iter()
+        .map(|r| r.expect("every cell computed"))
+        .collect();
+    // Every cell's `run_service` sets `run.pool_hit_rate` for its own
+    // run, so with several workers the gauge would hold whichever cell
+    // finished last. Publish the whole grid's rate instead.
+    if cws_obs::metrics_enabled() {
+        let (hits, cold) = cells.iter().fold((0, 0), |(h, c), cell| {
+            (
+                h + cell.report.fleet.pool_hits,
+                c + cell.report.fleet.cold_rentals,
+            )
+        });
+        if hits + cold > 0 {
+            cws_obs::MetricsRegistry::global()
+                .gauge(cws_obs::metrics::names::RUN_POOL_HIT_RATE)
+                .set(hits as f64 / (hits + cold) as f64);
+        }
+    }
     CampaignReport {
         seed: spec.seed,
-        cells: results
-            .into_iter()
-            .map(|r| r.expect("every cell computed"))
-            .collect(),
+        cells,
     }
 }
 

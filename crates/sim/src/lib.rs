@@ -27,10 +27,10 @@ pub use engine::{simulate, Simulator};
 pub use failures::{
     failure_impact, failure_impact_from, recover, recover_from, FailureImpact, Recovery, VmFailure,
 };
-pub use spot::{replay_spot, SpotReplay};
 pub use jitter::{robustness, JitterModel, RobustnessReport};
 pub use queue::{EventQueue, TimedEvent};
 pub use report::{SimEvent, SimReport, VerifyError};
+pub use spot::{replay_spot, SpotReplay};
 
 use cws_core::Schedule;
 use cws_dag::Workflow;
